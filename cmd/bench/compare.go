@@ -3,7 +3,9 @@
 // allocs/run regressed beyond -tolerance percent, or its latency
 // (mean AND median ns/run) beyond -latency-tolerance percent. Metrics
 // that improved or moved within tolerance are reported on stderr so a
-// gate run doubles as a perf changelog.
+// gate run doubles as a perf changelog. A baseline whose
+// latency_baseline names an earlier file gates latency against that
+// file's figures instead of its own (see baseline.LatencyBaseline).
 
 package main
 
@@ -11,29 +13,32 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 )
 
 // compareBaselines checks cur against the baseline stored at path.
 // allocTolPct bounds allocs/run (deterministic, so tight); latTolPct
 // bounds ns/run (wall clock, so wide).
 func compareBaselines(path string, cur baseline, allocTolPct, latTolPct float64) error {
-	f, err := os.Open(path)
+	ref, err := readBaseline(path, cur)
 	if err != nil {
-		return fmt.Errorf("compare baseline: %w", err)
+		return err
 	}
-	defer f.Close() //platoonvet:allow errcheck -- read-only file; close cannot lose data
-	var ref baseline
-	if err := json.NewDecoder(f).Decode(&ref); err != nil {
-		return fmt.Errorf("compare baseline %s: %w", path, err)
-	}
-	if ref.Quick != cur.Quick || ref.Obs != cur.Obs || ref.Spans != cur.Spans {
-		return fmt.Errorf("compare baseline %s: mode mismatch (quick=%v obs=%v spans=%v vs current quick=%v obs=%v spans=%v); re-measure with matching flags",
-			path, ref.Quick, ref.Obs, ref.Spans, cur.Quick, cur.Obs, cur.Spans)
-	}
-
-	refByName := make(map[string]workloadResult, len(ref.Workloads))
-	for _, w := range ref.Workloads {
-		refByName[w.Name] = w
+	refByName := workloadsByName(ref)
+	latByName := refByName
+	if ref.LatencyBaseline != "" {
+		latPath := filepath.Join(filepath.Dir(path), ref.LatencyBaseline)
+		lat, err := readBaseline(latPath, cur)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "bench: latency gates against %s (named by %s's latency_baseline)\n", latPath, path)
+		latByName = workloadsByName(lat)
+		for name, w := range refByName {
+			if _, ok := latByName[name]; !ok {
+				latByName[name] = w
+			}
+		}
 	}
 
 	var regressions []string
@@ -51,13 +56,14 @@ func compareBaselines(path string, cur baseline, allocTolPct, latTolPct float64)
 		// config boundaries — but a genuine slowdown shifts both.
 		// Baselines recorded before p50_ns existed fall back to
 		// mean-only.
-		meanDelta := pctDelta(float64(old.Telemetry.NSPerRun), float64(w.Telemetry.NSPerRun))
+		oldLat := latByName[w.Name].Telemetry
+		meanDelta := pctDelta(float64(oldLat.NSPerRun), float64(w.Telemetry.NSPerRun))
 		p50Delta := meanDelta
-		if old.Telemetry.P50NS > 0 && w.Telemetry.P50NS > 0 {
-			p50Delta = pctDelta(float64(old.Telemetry.P50NS), float64(w.Telemetry.P50NS))
+		if oldLat.P50NS > 0 && w.Telemetry.P50NS > 0 {
+			p50Delta = pctDelta(float64(oldLat.P50NS), float64(w.Telemetry.P50NS))
 		}
 		latLine := fmt.Sprintf("%s ns_per_run: %d -> %d (mean %+.1f%%, p50 %+.1f%%)",
-			w.Name, old.Telemetry.NSPerRun, w.Telemetry.NSPerRun, meanDelta, p50Delta)
+			w.Name, oldLat.NSPerRun, w.Telemetry.NSPerRun, meanDelta, p50Delta)
 		if meanDelta > latTolPct && p50Delta > latTolPct {
 			regressions = append(regressions, latLine)
 			fmt.Fprintf(os.Stderr, "bench: REGRESSION %s exceeds +%.0f%% latency tolerance\n", latLine, latTolPct)
@@ -92,4 +98,32 @@ func pctDelta(old, cur float64) float64 {
 		return 100 // grew from nothing: always over tolerance
 	}
 	return (cur - old) / old * 100
+}
+
+// readBaseline decodes the baseline at path and checks it was measured
+// in the same mode (quick, obs, spans) as cur.
+func readBaseline(path string, cur baseline) (baseline, error) {
+	var ref baseline
+	f, err := os.Open(path)
+	if err != nil {
+		return ref, fmt.Errorf("compare baseline: %w", err)
+	}
+	defer f.Close() //platoonvet:allow errcheck -- read-only file; close cannot lose data
+	if err := json.NewDecoder(f).Decode(&ref); err != nil {
+		return ref, fmt.Errorf("compare baseline %s: %w", path, err)
+	}
+	if ref.Quick != cur.Quick || ref.Obs != cur.Obs || ref.Spans != cur.Spans {
+		return ref, fmt.Errorf("compare baseline %s: mode mismatch (quick=%v obs=%v spans=%v vs current quick=%v obs=%v spans=%v); re-measure with matching flags",
+			path, ref.Quick, ref.Obs, ref.Spans, cur.Quick, cur.Obs, cur.Spans)
+	}
+	return ref, nil
+}
+
+// workloadsByName indexes b's workloads by name.
+func workloadsByName(b baseline) map[string]workloadResult {
+	m := make(map[string]workloadResult, len(b.Workloads))
+	for _, w := range b.Workloads {
+		m[w.Name] = w
+	}
+	return m
 }

@@ -83,3 +83,48 @@ func TestCompareBaselinesModeMismatch(t *testing.T) {
 		t.Error("quick-mode baseline vs full current: want mode-mismatch error")
 	}
 }
+
+// A baseline recorded on another host class names the earlier file its
+// latency figures gate against; its own allocs/run still gate.
+func TestCompareBaselinesLatencyFromNamedBaseline(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, b baseline) string {
+		t.Helper()
+		data, err := json.Marshal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	write("old.json", baseline{Workloads: []workloadResult{wl("E2", 1000, 1000, 900)}})
+	path := write("new.json", baseline{
+		LatencyBaseline: "old.json",
+		Workloads:       []workloadResult{wl("E2", 2000, 2000, 500), wl("E3", 1000, 1000, 500)},
+	})
+
+	cases := []struct {
+		name string
+		cur  []workloadResult
+		fail bool
+	}{
+		{"latency within the named file's figures", []workloadResult{wl("E2", 1100, 1100, 500)}, false},
+		{"latency over the named file's figures", []workloadResult{wl("E2", 1400, 1400, 500)}, true},
+		{"allocs over this file's figures", []workloadResult{wl("E2", 1000, 1000, 600)}, true},
+		{"workload absent from the named file", []workloadResult{wl("E3", 1400, 1400, 500)}, true},
+	}
+	for _, tc := range cases {
+		err := compareBaselines(path, baseline{Workloads: tc.cur}, 10, 25)
+		if (err != nil) != tc.fail {
+			t.Errorf("%s: err = %v, want failure %v", tc.name, err, tc.fail)
+		}
+	}
+
+	write("bad.json", baseline{LatencyBaseline: "missing.json"})
+	if err := compareBaselines(filepath.Join(dir, "bad.json"), baseline{}, 10, 25); err == nil {
+		t.Error("missing latency baseline file: gate passed, want error")
+	}
+}

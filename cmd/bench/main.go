@@ -22,7 +22,9 @@
 //	gates at the wider -latency-tolerance percent, and only when the
 //	mean AND the median both exceed it (an outlier run skews only the
 //	mean; config-boundary jitter in heterogeneous sweeps skews only the
-//	median; a genuine slowdown shifts both).
+//	median; a genuine slowdown shifts both). A committed baseline
+//	recorded on another host class sets latency_baseline to the earlier
+//	file whose ns/run figures stay the latency reference.
 //
 //	-obs attaches the flight recorder to every run, for measuring the
 //	observability overhead against a plain baseline (EXPERIMENTS.md
@@ -84,14 +86,21 @@ type workloadResult struct {
 
 // baseline is the BENCH_baseline.json schema.
 type baseline struct {
-	Schema     int              `json:"schema"`
-	GoVersion  string           `json:"go_version"`
-	GOMAXPROCS int              `json:"gomaxprocs"`
-	NumCPU     int              `json:"num_cpu"`
-	Quick      bool             `json:"quick"`
-	Obs        bool             `json:"obs,omitempty"`
-	Spans      bool             `json:"spans,omitempty"`
-	Workloads  []workloadResult `json:"workloads"`
+	Schema     int    `json:"schema"`
+	GoVersion  string `json:"go_version"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	Quick      bool   `json:"quick"`
+	Obs        bool   `json:"obs,omitempty"`
+	Spans      bool   `json:"spans,omitempty"`
+	// LatencyBaseline, when set in a committed baseline, names an
+	// earlier baseline file (same directory) whose ns/run figures the
+	// latency gate uses instead of this file's. It marks a baseline
+	// recorded on a different host class: its allocs/run still gate,
+	// but its wall-clock figures are not comparable with the earlier
+	// ones. Never written by a measurement run.
+	LatencyBaseline string           `json:"latency_baseline,omitempty"`
+	Workloads       []workloadResult `json:"workloads"`
 }
 
 func run(args []string) (err error) {

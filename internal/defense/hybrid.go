@@ -180,6 +180,7 @@ type HybridFilter struct {
 
 	seen    map[[32]byte]sim.Time
 	optical map[uint32]opticalState
+	rx      message.Beacon // decode scratch for the beacon under Check
 
 	// Dropped counts unconfirmed maneuvers rejected; Mismatched counts
 	// beacons contradicting optical state.
@@ -258,8 +259,8 @@ func (f *HybridFilter) Check(env *message.Envelope, _ mac.Rx, now sim.Time) erro
 		f.Dropped++
 		return fmt.Errorf("%w: %v from %d", ErrNoVLCConfirmation, m.Type, env.SenderID)
 	case message.KindBeacon:
-		b, err := message.UnmarshalBeacon(env.Payload)
-		if err != nil {
+		b := &f.rx
+		if err := message.DecodeBeacon(env.Payload, b); err != nil {
 			return nil
 		}
 		opt, ok := f.optical[b.VehicleID]

@@ -39,6 +39,7 @@ type JoinGate struct {
 	MinBeacons int
 
 	seen map[uint32]presence
+	rx   message.Beacon // decode scratch for the beacon under Check
 
 	// Dropped counts gated join requests.
 	Dropped uint64
@@ -77,8 +78,8 @@ func (g *JoinGate) Check(env *message.Envelope, _ mac.Rx, now sim.Time) error {
 	}
 	switch kind {
 	case message.KindBeacon:
-		b, err := message.UnmarshalBeacon(env.Payload)
-		if err != nil {
+		b := &g.rx
+		if err := message.DecodeBeacon(env.Payload, b); err != nil {
 			return nil
 		}
 		p := g.seen[b.VehicleID]

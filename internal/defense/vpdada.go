@@ -89,6 +89,7 @@ type VPDADA struct {
 	OnDetect func(offender uint32, check string)
 
 	last map[uint32]lastSeen
+	rx   message.Beacon // decode scratch for the beacon under Check
 
 	// Detections counts drops by check name.
 	Detections map[string]uint64
@@ -213,11 +214,10 @@ func (v *VPDADA) Check(env *message.Envelope, rx mac.Rx, now sim.Time) error {
 		}
 		return v.checkManeuverSeq(m, now)
 	case message.KindBeacon:
-		b, err := message.UnmarshalBeacon(env.Payload)
-		if err != nil {
+		if err := message.DecodeBeacon(env.Payload, &v.rx); err != nil {
 			return nil
 		}
-		return v.checkBeacon(b, now)
+		return v.checkBeacon(&v.rx, now)
 	default:
 		return nil
 	}

@@ -131,6 +131,9 @@ type Agent struct {
 	rxBeacon   message.Beacon
 	rxManeuver message.Maneuver
 	rxMemb     message.Membership
+	// session seals and opens frames under sec.Session, caching the
+	// cipher state across frames until the key changes.
+	session security.SessionCipher
 }
 
 // Option customises an agent.
@@ -383,7 +386,7 @@ func (a *Agent) send(payload []byte) {
 	wire := a.wireBuf
 	if a.sec != nil && a.sec.Session != nil {
 		a.encSeq++
-		sealed, err := a.sec.Session.Seal(wire, a.ID(), a.encSeq)
+		sealed, err := a.session.Seal(*a.sec.Session, wire, a.ID(), a.encSeq)
 		if err == nil {
 			wire = sealed
 		}
@@ -493,18 +496,18 @@ func (a *Agent) onRx(rx mac.Rx) {
 	now := a.k.Now()
 	wire := rx.Payload
 	if a.sec != nil && a.sec.Session != nil {
-		plain, err := a.sec.Session.Open(wire)
+		plain, err := a.session.Open(*a.sec.Session, wire)
 		if err != nil {
 			// Not sealed under our session key. Key-management traffic
 			// and pre-admission context proofs legitimately travel on
 			// the plain service channel (their senders do not hold the
 			// session key yet); anything else is noise (or an attack on
 			// an encrypted platoon).
-			if env, perr := message.UnmarshalEnvelope(wire); perr == nil {
-				if kind, kerr := env.Kind(); kerr == nil &&
+			if perr := message.DecodeEnvelope(wire, &a.rxEnv); perr == nil {
+				if kind, kerr := a.rxEnv.Kind(); kerr == nil &&
 					(kind == message.KindKeyRequest || kind == message.KindKeyResponse ||
 						kind == message.KindContextProof) {
-					a.dispatch(env, rx, now)
+					a.dispatch(&a.rxEnv, rx, now)
 					return
 				}
 			}

@@ -127,6 +127,7 @@ type RSU struct {
 	bus      *mac.Bus
 	ta       *Authority
 	verifier *security.Verifier
+	rxEnv    message.Envelope // decode scratch for the frame under onRx
 
 	subscribers map[uint32]uint32 // vehicleID → platoonID
 	served      uint64
@@ -173,8 +174,8 @@ func (r *RSU) Stop() {
 }
 
 func (r *RSU) onRx(rx mac.Rx) {
-	env, err := message.UnmarshalEnvelope(rx.Payload)
-	if err != nil {
+	env := &r.rxEnv
+	if err := message.DecodeEnvelope(rx.Payload, env); err != nil {
 		return
 	}
 	kind, err := env.Kind()

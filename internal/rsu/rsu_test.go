@@ -1,6 +1,7 @@
 package rsu
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"platoonsec/internal/mac"
@@ -276,4 +277,90 @@ func TestRSUStartStop(t *testing.T) {
 	}
 	f.rsu.Stop()
 	f.rsu.Stop() // idempotent
+}
+
+// TestRotationRekeysSessionCipher drives an RSU key rotation through
+// two encrypting agents. The rotation rewrites each client's SessionKey
+// in place — the agent's pointer to it never changes — so the agents'
+// cached cipher state must notice the new key by value: after the push,
+// frames on the air carry the new epoch and the peers keep accepting
+// each other's beacons.
+func TestRotationRekeysSessionCipher(t *testing.T) {
+	f := newFixture(t, 4)
+	type peer struct {
+		agent   *platoon.Agent
+		client  *Client
+		session *security.SessionKey
+	}
+	var peers []peer
+	for _, vid := range []uint32{7, 8} {
+		pairwise := f.ta.Register(vid)
+		id, err := f.ca.Issue(vid, 0, 10000*sim.Second, f.k.Stream("keys"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		session := &security.SessionKey{}
+		client := NewClient(vid, pairwise, session)
+		v := vehicle.New(vehicle.ID(vid), vehicle.State{Position: 960 + 20*float64(vid-7), Speed: 25})
+		a := platoon.NewAgent(f.k, f.bus, v, message.RoleFree, platoon.DefaultConfig(),
+			platoon.WithMessageHook(client.Handle),
+			platoon.WithSecurity(&platoon.SecurityOptions{
+				Signer:  security.NewSigner(id),
+				Session: session,
+			}),
+		)
+		client.Bind(a)
+		if err := a.Start(); err != nil {
+			t.Fatal(err)
+		}
+		peers = append(peers, peer{a, client, session})
+	}
+	// A passive listener holding the TA's current key records the epoch
+	// header of vehicle traffic and, after the rotation, checks that
+	// every frame opens under the new key: a cipher still holding the
+	// old key schedule would seal a new-epoch header over old-key bytes.
+	epochs := map[bool]map[uint32]int{false: {}, true: {}} // rotated? → epoch → frames
+	rotated, stale := false, 0
+	var listener security.SessionCipher
+	if err := f.bus.Attach(900, func() float64 { return 970 }, 20, func(rx mac.Rx) {
+		if rx.Src != 7 && rx.Src != 8 || len(rx.Payload) < 4 {
+			return
+		}
+		epochs[rotated][binary.LittleEndian.Uint32(rx.Payload)]++
+		if _, err := listener.Open(f.ta.SessionKey(1), rx.Payload); rotated && err != nil {
+			stale++
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range peers {
+		p := p
+		f.k.At(sim.Second, "req", func() { p.client.RequestKey(1) })
+	}
+	var acceptedBefore uint64
+	f.k.At(5*sim.Second, "rotate", func() {
+		acceptedBefore = peers[1].agent.Counters().BeaconsAccepted
+		f.rsu.PushRotation(1)
+	})
+	f.k.At(5*sim.Second+200*sim.Millisecond, "settled", func() { rotated = true })
+	if err := f.k.Run(10 * sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range peers {
+		if p.session.Epoch != 2 {
+			t.Fatalf("vehicle %d epoch = %d, want 2", p.agent.ID(), p.session.Epoch)
+		}
+	}
+	if epochs[false][1] == 0 {
+		t.Fatalf("no epoch-1 traffic before the rotation: %v", epochs[false])
+	}
+	if len(epochs[true]) != 1 || epochs[true][2] == 0 {
+		t.Fatalf("traffic after the rotation by epoch = %v, want only epoch 2", epochs[true])
+	}
+	if stale != 0 {
+		t.Fatalf("%d frames after the rotation did not open under the new key", stale)
+	}
+	if after := peers[1].agent.Counters().BeaconsAccepted; after < acceptedBefore+40 {
+		t.Fatalf("beacons accepted: %d before rotation, %d at end — traffic stopped decrypting", acceptedBefore, after)
+	}
 }

@@ -77,6 +77,12 @@ func TestEngineMatchesSerialAllPresets(t *testing.T) {
 		if err != nil {
 			t.Fatalf("serial run %d (%s): %v", i, o.AttackKey, err)
 		}
+		// PKI presets must exercise the run's verify memos, so the
+		// parallel comparison below also covers the memo state that
+		// hangs off each run's CA.
+		if o.Defense.PKI && (r.Obs.Counters["security.verify"] == 0 || r.Obs.Counters["security.verdict_memo_hits"] == 0) {
+			t.Fatalf("serial run %d (%s): security counters %v, want verifies and memo hits", i, o.AttackKey, r.Obs.Counters)
+		}
 		serial[i] = r
 		serialJSON[i], err = json.Marshal(r)
 		if err != nil {

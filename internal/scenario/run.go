@@ -246,6 +246,7 @@ func build(opts Options) (*world, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: ca: %w", err)
 	}
+	w.ca.SetRecorder(w.recorder())
 	w.ta = rsu.NewAuthority(w.ca, w.k.Stream("ta"))
 	w.session = w.ta.SessionKey(opts.Cfg.PlatoonID)
 	w.station = rsu.New(w.k, w.bus, w.ta, rsuNodeID, 2100)

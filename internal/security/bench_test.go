@@ -49,15 +49,16 @@ func BenchmarkVerify(b *testing.B) {
 
 func BenchmarkSessionSealOpen(b *testing.B) {
 	k := NewSessionKey(1, sim.NewStream(1, "bench-sess"))
+	var c SessionCipher
 	payload := make([]byte, 128)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		blob, err := k.Seal(payload, 7, uint32(i))
+		blob, err := c.Seal(k, payload, 7, uint32(i))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := k.Open(blob); err != nil {
+		if _, err := c.Open(k, blob); err != nil {
 			b.Fatal(err)
 		}
 	}

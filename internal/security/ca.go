@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 
+	"platoonsec/internal/obs"
 	"platoonsec/internal/sim"
 )
 
@@ -39,10 +40,10 @@ type Certificate struct {
 	CASig     []byte
 }
 
-// tbs returns the to-be-signed encoding of the certificate.
-func (c *Certificate) tbs() []byte {
-	//platoonvet:alloc-ok to-be-signed bytes are rebuilt per certificate check, which two ed25519 verifications already dominate
-	buf := make([]byte, 0, 4+4+ed25519.PublicKeySize+16)
+// appendTBS appends the to-be-signed encoding of the certificate to
+// buf. Certificate checks append into the CA's scratch, so a check
+// allocates nothing once that scratch has grown.
+func (c *Certificate) appendTBS(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, c.Serial)
 	buf = binary.LittleEndian.AppendUint32(buf, c.VehicleID)
 	buf = append(buf, c.PublicKey...)
@@ -52,6 +53,14 @@ func (c *Certificate) tbs() []byte {
 }
 
 // CA is the trusted authority issuing and revoking vehicle certificates.
+//
+// A run builds one CA and hands it to every Verifier, so the CA also
+// carries the run's verify memos: the certificate memo (one entry per
+// serial whose CA signature checked out) and the verdict memo (a fixed
+// table of positive frame-signature results). Both hold only positive
+// results keyed on the exact bytes checked, so they change how often
+// ed25519 runs, never what a check returns. Like everything inside a
+// run, a CA is single-goroutine.
 type CA struct {
 	pub        ed25519.PublicKey
 	priv       ed25519.PrivateKey
@@ -59,6 +68,11 @@ type CA struct {
 	issued     map[uint32]*Certificate
 	revoked    map[uint32]bool
 	byVehicle  map[uint32][]uint32 // vehicleID → serials
+
+	certMemo map[uint32]certEntry
+	verdicts verdictMemo
+	tbsBuf   []byte // scratch for the to-be-signed image of each check
+	ctr      counters
 }
 
 // NewCA creates a CA whose root key derives deterministically from rng.
@@ -73,7 +87,19 @@ func NewCA(rng *sim.Stream) (*CA, error) {
 		issued:     make(map[uint32]*Certificate),
 		revoked:    make(map[uint32]bool),
 		byVehicle:  make(map[uint32][]uint32),
+		certMemo:   make(map[uint32]certEntry),
 	}, nil
+}
+
+// SetRecorder attaches an observability recorder; nil detaches it.
+// Counters are resolved once here, so with no recorder every count is
+// a nil-receiver no-op. Counting changes no verdict.
+func (ca *CA) SetRecorder(rec obs.Recorder) {
+	if rec == nil {
+		ca.ctr = counters{}
+		return
+	}
+	ca.ctr = newCounters(rec.Metrics())
 }
 
 // PublicKey returns the CA root public key vehicles pin.
@@ -96,7 +122,7 @@ func (ca *CA) Issue(vehicleID uint32, notBefore, notAfter sim.Time, rng *sim.Str
 		NotAfter:  notAfter,
 	}
 	ca.nextSerial++
-	cert.CASig = ed25519.Sign(ca.priv, cert.tbs())
+	cert.CASig = ed25519.Sign(ca.priv, cert.appendTBS(nil))
 	ca.issued[cert.Serial] = cert
 	ca.byVehicle[vehicleID] = append(ca.byVehicle[vehicleID], cert.Serial)
 	return &Identity{Cert: cert, priv: priv}, nil
@@ -134,9 +160,10 @@ func (ca *CA) Lookup(serial uint32) (*Certificate, error) {
 }
 
 // Verify checks a certificate chain: CA signature, validity at time now,
-// and revocation status.
+// and revocation status. The CA signature check is memoised per serial
+// (see certSigOK); validity and revocation are checked on every call.
 func (ca *CA) Verify(c *Certificate, now sim.Time) error {
-	if !ed25519.Verify(ca.pub, c.tbs(), c.CASig) {
+	if !ca.certSigOK(c) {
 		return ErrBadCertSignature
 	}
 	if now < c.NotBefore || now > c.NotAfter {

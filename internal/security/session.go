@@ -5,9 +5,11 @@ import (
 	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 
 	"platoonsec/internal/sim"
 )
@@ -43,56 +45,119 @@ var ErrSealTooShort = errors.New("security: sealed blob too short")
 // epoch.
 var ErrWrongEpoch = errors.New("security: wrong key epoch")
 
-// Seal encrypts plaintext under the session key with AES-CTR and appends
-// an HMAC-SHA256 tag. The nonce must be unique per message under one
-// epoch; callers use (senderID, seq).
-//
-// Layout: epoch(4) | nonce(16) | ciphertext | tag(32).
-func (k SessionKey) Seal(plaintext []byte, senderID, seq uint32) ([]byte, error) {
-	block, err := aes.NewCipher(k.Key[:])
+// Sealed-blob layout: epoch(4) | nonce(16) | ciphertext | tag(32).
+const (
+	sealHeader = 4 + aes.BlockSize
+	sealTag    = sha256.Size
+)
+
+// SessionCipher seals and opens frames under a platoon SessionKey with
+// AES-CTR and an HMAC-SHA256 tag. It keeps the AES key schedule and the
+// HMAC state for the key it last used and rebuilds them only when the
+// key or its epoch changes, which it detects by comparing key values:
+// an RSU rotation that rewrites a shared SessionKey in place is picked
+// up on the next frame. The zero value is ready to use. A SessionCipher
+// is per-frame scratch, not safe for concurrent use; each agent owns
+// one.
+type SessionCipher struct {
+	key   SessionKey // the key block and mac were built for
+	block cipher.Block
+	mac   hash.Hash
+
+	ctr, stream [aes.BlockSize]byte // CTR counter and keystream block
+	tag         [sealTag]byte
+	plain       []byte // Open's output; valid until the next Open
+}
+
+// use makes the cached state match k.
+func (c *SessionCipher) use(k SessionKey) error {
+	if c.block != nil && c.key == k {
+		return nil
+	}
+	// Build from c.key, which already lives on the heap: slicing the
+	// parameter would move every caller's k there too.
+	c.key = k
+	block, err := aes.NewCipher(c.key.Key[:])
 	if err != nil {
+		c.block = nil
+		return err
+	}
+	c.block = block
+	c.mac = hmac.New(sha256.New, c.key.Key[:])
+	return nil
+}
+
+// sum returns the HMAC of b under the current key, in c.tag.
+func (c *SessionCipher) sum(b []byte) []byte {
+	c.mac.Reset()
+	c.mac.Write(b)
+	return c.mac.Sum(c.tag[:0])
+}
+
+// xorCTR XORs src into dst with the AES-CTR keystream for iv — the
+// stream cipher.NewCTR(block, iv) produces, with the counter
+// incremented as one big-endian 128-bit integer per block — without
+// allocating a stream per frame.
+func (c *SessionCipher) xorCTR(dst, src, iv []byte) {
+	copy(c.ctr[:], iv)
+	for len(src) > 0 {
+		c.block.Encrypt(c.stream[:], c.ctr[:])
+		n := subtle.XORBytes(dst, src, c.stream[:])
+		dst, src = dst[n:], src[n:]
+		for i := len(c.ctr) - 1; i >= 0; i-- {
+			c.ctr[i]++
+			if c.ctr[i] != 0 {
+				break
+			}
+		}
+	}
+}
+
+// Seal encrypts plaintext under k and appends an HMAC-SHA256 tag. The
+// nonce must be unique per message under one epoch; callers use
+// (senderID, seq). The result is a fresh slice the caller owns.
+func (c *SessionCipher) Seal(k SessionKey, plaintext []byte, senderID, seq uint32) ([]byte, error) {
+	if err := c.use(k); err != nil {
 		return nil, fmt.Errorf("security: seal: %w", err)
 	}
-	var iv [16]byte
+	//platoonvet:alloc-ok the sealed frame passes to the MAC send path, which owns it
+	out := make([]byte, sealHeader+len(plaintext)+sealTag)
+	binary.LittleEndian.PutUint32(out[0:], k.Epoch)
+	iv := out[4:sealHeader]
 	binary.LittleEndian.PutUint32(iv[0:], senderID)
 	binary.LittleEndian.PutUint32(iv[4:], seq)
 	binary.LittleEndian.PutUint32(iv[8:], k.Epoch)
-
-	out := make([]byte, 4+16+len(plaintext)+32)
-	binary.LittleEndian.PutUint32(out[0:], k.Epoch)
-	copy(out[4:20], iv[:])
-	cipher.NewCTR(block, iv[:]).XORKeyStream(out[20:20+len(plaintext)], plaintext)
-
-	mac := hmac.New(sha256.New, k.Key[:])
-	mac.Write(out[:20+len(plaintext)])
-	copy(out[20+len(plaintext):], mac.Sum(nil))
+	body := out[:sealHeader+len(plaintext)]
+	c.xorCTR(body[sealHeader:], plaintext, iv)
+	copy(out[len(body):], c.sum(body))
 	return out, nil
 }
 
-// Open authenticates and decrypts a sealed blob.
-func (k SessionKey) Open(blob []byte) ([]byte, error) {
-	if len(blob) < 4+16+32 {
+// Open authenticates and decrypts a blob sealed under k. The plaintext
+// is c's scratch: it stays valid until the next Open.
+func (c *SessionCipher) Open(k SessionKey, blob []byte) ([]byte, error) {
+	if len(blob) < sealHeader+sealTag {
 		return nil, ErrSealTooShort
 	}
 	epoch := binary.LittleEndian.Uint32(blob[0:])
 	if epoch != k.Epoch {
+		//platoonvet:alloc-ok error path: foreign-epoch blobs arrive only around rotations or from outsiders
 		return nil, fmt.Errorf("%w: blob epoch %d, key epoch %d", ErrWrongEpoch, epoch, k.Epoch)
 	}
-	body := blob[:len(blob)-32]
-	tag := blob[len(blob)-32:]
-	mac := hmac.New(sha256.New, k.Key[:])
-	mac.Write(body)
-	if !hmac.Equal(tag, mac.Sum(nil)) {
-		return nil, ErrBadSignature
-	}
-	block, err := aes.NewCipher(k.Key[:])
-	if err != nil {
+	if err := c.use(k); err != nil {
 		return nil, fmt.Errorf("security: open: %w", err)
 	}
-	iv := blob[4:20]
-	plaintext := make([]byte, len(body)-20)
-	cipher.NewCTR(block, iv).XORKeyStream(plaintext, body[20:])
-	return plaintext, nil
+	body := blob[:len(blob)-sealTag]
+	if !hmac.Equal(blob[len(body):], c.sum(body)) {
+		return nil, ErrBadSignature
+	}
+	n := len(body) - sealHeader
+	if cap(c.plain) < n {
+		c.plain = make([]byte, n)
+	}
+	c.plain = c.plain[:n]
+	c.xorCTR(c.plain, body[sealHeader:], blob[4:sealHeader])
+	return c.plain, nil
 }
 
 // SealToVehicle wraps a session key for delivery to one vehicle inside a

@@ -11,12 +11,13 @@ import (
 
 func TestSealOpenRoundTrip(t *testing.T) {
 	k := NewSessionKey(1, sim.NewStream(1, "sess"))
+	var c SessionCipher
 	plaintext := []byte("leader speed 25.0 position 1034.2")
-	blob, err := k.Seal(plaintext, 7, 42)
+	blob, err := c.Seal(k, plaintext, 7, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := k.Open(blob)
+	got, err := c.Open(k, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,9 +28,10 @@ func TestSealOpenRoundTrip(t *testing.T) {
 
 func TestOpenRejectsTamper(t *testing.T) {
 	k := NewSessionKey(1, sim.NewStream(1, "sess2"))
-	blob, _ := k.Seal([]byte("gap-close command"), 7, 1)
+	var c SessionCipher
+	blob, _ := c.Seal(k, []byte("gap-close command"), 7, 1)
 	blob[25] ^= 1
-	if _, err := k.Open(blob); !errors.Is(err, ErrBadSignature) {
+	if _, err := c.Open(k, blob); !errors.Is(err, ErrBadSignature) {
 		t.Fatalf("tampered blob: %v", err)
 	}
 }
@@ -37,24 +39,27 @@ func TestOpenRejectsTamper(t *testing.T) {
 func TestOpenRejectsWrongKey(t *testing.T) {
 	k1 := NewSessionKey(1, sim.NewStream(1, "sessA"))
 	k2 := NewSessionKey(1, sim.NewStream(2, "sessB"))
-	blob, _ := k1.Seal([]byte("secret"), 7, 1)
-	if _, err := k2.Open(blob); !errors.Is(err, ErrBadSignature) {
+	var c SessionCipher
+	blob, _ := c.Seal(k1, []byte("secret"), 7, 1)
+	if _, err := c.Open(k2, blob); !errors.Is(err, ErrBadSignature) {
 		t.Fatalf("wrong key: %v", err)
 	}
 }
 
 func TestOpenRejectsWrongEpoch(t *testing.T) {
 	k := NewSessionKey(1, sim.NewStream(1, "sess3"))
-	blob, _ := k.Seal([]byte("x"), 7, 1)
+	var c SessionCipher
+	blob, _ := c.Seal(k, []byte("x"), 7, 1)
 	next := k.Rotate()
-	if _, err := next.Open(blob); !errors.Is(err, ErrWrongEpoch) {
+	if _, err := c.Open(next, blob); !errors.Is(err, ErrWrongEpoch) {
 		t.Fatalf("old-epoch blob: %v", err)
 	}
 }
 
 func TestOpenShortBlob(t *testing.T) {
 	k := NewSessionKey(1, sim.NewStream(1, "sess4"))
-	if _, err := k.Open([]byte{1, 2, 3}); !errors.Is(err, ErrSealTooShort) {
+	var c SessionCipher
+	if _, err := c.Open(k, []byte{1, 2, 3}); !errors.Is(err, ErrSealTooShort) {
 		t.Fatalf("short: %v", err)
 	}
 }
@@ -76,8 +81,9 @@ func TestRotateChain(t *testing.T) {
 
 func TestSealDistinctNoncesDistinctCiphertexts(t *testing.T) {
 	k := NewSessionKey(1, sim.NewStream(1, "sess6"))
-	a, _ := k.Seal([]byte("same plaintext"), 7, 1)
-	b, _ := k.Seal([]byte("same plaintext"), 7, 2)
+	var c SessionCipher
+	a, _ := c.Seal(k, []byte("same plaintext"), 7, 1)
+	b, _ := c.Seal(k, []byte("same plaintext"), 7, 2)
 	if bytes.Equal(a[20:34], b[20:34]) {
 		t.Fatal("different seqs produced identical keystream")
 	}
@@ -111,15 +117,16 @@ func TestSealToVehicleRoundTrip(t *testing.T) {
 
 func TestSealOpenQuick(t *testing.T) {
 	k := NewSessionKey(1, sim.NewStream(1, "sessq"))
+	var c SessionCipher
 	f := func(plaintext []byte, sender, seq uint32) bool {
 		if len(plaintext) > 10000 {
 			return true
 		}
-		blob, err := k.Seal(plaintext, sender, seq)
+		blob, err := c.Seal(k, plaintext, sender, seq)
 		if err != nil {
 			return false
 		}
-		got, err := k.Open(blob)
+		got, err := c.Open(k, blob)
 		if err != nil {
 			return false
 		}

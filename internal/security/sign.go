@@ -1,7 +1,6 @@
 package security
 
 import (
-	"crypto/ed25519"
 	"errors"
 	"fmt"
 
@@ -78,37 +77,63 @@ func NewVerifier(ca *CA, replay *ReplayGuard) *Verifier {
 // sender binding, and (if a replay guard is installed) freshness of the
 // embedded timestamp. It returns the verified certificate.
 //
+// The two ed25519 checks go through the CA's memos, so a certificate or
+// a broadcast that has verified once in this run is not re-verified by
+// every receiver. Validity, revocation, sender binding and freshness
+// are checked on every call: a replayed frame hits the verdict memo
+// and is still rejected as stale.
+//
 //platoonvet:hotpath -- runs per received frame on verifying agents
 //platoonvet:sanitizer -- certificate chain + signature + sender binding + freshness: the trust boundary of §VI-A
 func (v *Verifier) Verify(e *message.Envelope, now sim.Time) (*Certificate, error) {
+	ctr := &v.ca.ctr
+	ctr.verify.Inc()
 	if len(e.Sig) == 0 {
-		return nil, ErrUnsigned
+		return nil, ctr.rejected(rejectUnsigned, ErrUnsigned)
 	}
 	cert, err := v.ca.Lookup(e.CertSerial)
 	if err != nil {
-		return nil, err
+		return nil, ctr.rejected(rejectUnknownSerial, err)
 	}
 	if err := v.ca.Verify(cert, now); err != nil {
-		return nil, err
+		return nil, ctr.rejected(certRejectReason(err), err)
 	}
 	if cert.VehicleID != e.SenderID {
 		//platoonvet:alloc-ok error path: sender mismatch occurs only under impersonation attack
-		return nil, fmt.Errorf("%w: claimed %d, cert %d", ErrSenderMismatch, e.SenderID, cert.VehicleID)
+		err := fmt.Errorf("%w: claimed %d, cert %d", ErrSenderMismatch, e.SenderID, cert.VehicleID)
+		return nil, ctr.rejected(rejectSenderMismatch, err)
 	}
 	v.sigBuf = e.AppendSignedBytes(v.sigBuf[:0])
-	if !ed25519.Verify(cert.PublicKey, v.sigBuf, e.Sig) {
-		return nil, ErrBadSignature
+	ok, hit := v.ca.verdicts.verify(cert.PublicKey, v.sigBuf, e.Sig)
+	if hit {
+		ctr.verdictHits.Inc()
+	}
+	if !ok {
+		return nil, ctr.rejected(rejectBadSignature, ErrBadSignature)
 	}
 	if v.replay != nil {
 		ts, seq, err := extractFreshness(e.Payload)
 		if err != nil {
-			return nil, err
+			return nil, ctr.rejected(rejectMalformed, err)
 		}
 		if err := v.replay.Check(e.SenderID, seq, ts, now); err != nil {
-			return nil, err
+			return nil, ctr.rejected(rejectReplay, err)
 		}
 	}
 	return cert, nil
+}
+
+// certRejectReason classifies a CA.Verify failure; it runs only on the
+// reject path.
+func certRejectReason(err error) rejectReason {
+	switch {
+	case errors.Is(err, ErrCertExpired):
+		return rejectCertExpired
+	case errors.Is(err, ErrCertRevoked):
+		return rejectCertRevoked
+	default:
+		return rejectBadCertSig
+	}
 }
 
 // extractFreshness pulls (timestamp, seq) out of any known payload
