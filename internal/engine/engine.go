@@ -191,7 +191,7 @@ func runOne[T any](ctx context.Context, job Job[T], i int, cfg *Config[T], cance
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				oc.err = fmt.Errorf("engine: run %d panicked: %v\n%s", i, r, debug.Stack())
+				oc.err = panicErr(i, r)
 			}
 		}()
 		oc.value, oc.err = job(ctx)
@@ -204,6 +204,12 @@ func runOne[T any](ctx context.Context, job Job[T], i int, cfg *Config[T], cance
 		cancel()
 	}
 	return oc
+}
+
+// panicErr converts a panic recovered from run i into that run's
+// error, stack included.
+func panicErr(i int, r any) error {
+	return fmt.Errorf("engine: run %d panicked: %v\n%s", i, r, debug.Stack())
 }
 
 // cancellation reports whether err marks a run the engine skipped

@@ -14,6 +14,12 @@ package world
 type ring struct {
 	lengthM   float64
 	junctions int
+	perM      float64 // junctions / lengthM: junction spacings per metre
+}
+
+// newRing builds the geometry of a ring with evenly spaced junctions.
+func newRing(lengthM float64, junctions int) ring {
+	return ring{lengthM: lengthM, junctions: junctions, perM: float64(junctions) / lengthM}
 }
 
 // wrap maps any forward position back onto [0, lengthM).
@@ -54,21 +60,57 @@ func (r ring) junctionPos(j int) float64 {
 	return float64(j) * r.lengthM / float64(r.junctions)
 }
 
-// crossedJunction returns the index of the first junction passed when
-// moving forward from oldPos to newPos, or -1. Epochs are short
-// relative to junction spacing, so at most one junction is crossed
-// per step; the world validates that ratio at build time.
+// crossedJunction returns the lowest-index junction passed when
+// moving forward from oldPos to newPos — one whose forward distance
+// from oldPos is in (0, travelled] — or -1. A step shorter than the
+// junction spacing passes at most one junction: the one at or just
+// below newPos, or one that rounding puts just above it. Only those
+// two are tested, with the scan's exact predicate; a step of about
+// one spacing or more falls back to the full scan.
 func (r ring) crossedJunction(oldPos, newPos float64) int {
 	if r.junctions <= 0 {
 		return -1
 	}
+	// Measured in junction spacings, junction j sits at j and the
+	// step of length `step` ends at x.
 	travelled := r.forward(oldPos, newPos)
-	for j := 0; j < r.junctions; j++ {
-		if d := r.forward(oldPos, r.junctionPos(j)); d > 0 && d <= travelled {
+	step, x := travelled*r.perM, newPos*r.perM
+	if step >= 1-roundingSlack {
+		return r.scanJunctions(oldPos, travelled)
+	}
+	// Most steps end further past junction k than they travelled and
+	// well short of junction k+1: nothing crossed.
+	k := int(x)
+	if frac := x - float64(k); frac > step+roundingSlack && frac < 1-roundingSlack {
+		return -1
+	}
+	for _, j := range [2]int{k % r.junctions, (k + 1) % r.junctions} {
+		if r.passes(oldPos, travelled, j) {
 			return j
 		}
 	}
 	return -1
+}
+
+// roundingSlack is a relative margin far above any float rounding in
+// the ring arithmetic: index searches widen by it, so a shortcut never
+// decides a case the exact predicate would decide differently.
+const roundingSlack = 1e-9
+
+// scanJunctions is crossedJunction over every junction.
+func (r ring) scanJunctions(oldPos, travelled float64) int {
+	for j := 0; j < r.junctions; j++ {
+		if r.passes(oldPos, travelled, j) {
+			return j
+		}
+	}
+	return -1
+}
+
+// passes reports whether junction j lies in (oldPos, oldPos+travelled].
+func (r ring) passes(oldPos, travelled float64, j int) bool {
+	d := r.forward(oldPos, r.junctionPos(j))
+	return d > 0 && d <= travelled
 }
 
 // FNV-1a 64-bit parameters, matching span.Derive's choice: a tiny,

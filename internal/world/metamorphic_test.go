@@ -168,3 +168,78 @@ func TestWorkersOnlyInvariance(t *testing.T) {
 		}
 	}
 }
+
+// TestShardOwnership pins shard-reported migration against the full
+// scan it replaced: after every barrier each unit is owned by exactly
+// the shard whose arc holds its position, each shard's units are in ID
+// order, and the shards together own exactly the manager's population.
+func TestShardOwnership(t *testing.T) {
+	for _, fl := range []string{"", "jamming", "sybil"} {
+		for _, shards := range []int{1, 2, 4} {
+			o := small()
+			o.Duration = 60 * sim.Second
+			o.AttackKey = fl
+			o.Shards = shards
+			o.normalize()
+			w := build(o)
+			check := func() error {
+				owned := 0
+				for _, s := range w.shards {
+					for i, u := range s.units {
+						if home := w.shardIdx(u.PosM); home != s.idx {
+							return fmt.Errorf("unit %d at %.3f m is owned by shard %d, its home is shard %d", u.ID, u.PosM, s.idx, home)
+						}
+						if i > 0 && s.units[i-1].ID >= u.ID {
+							return fmt.Errorf("shard %d units out of ID order at %d", s.idx, i)
+						}
+						if w.mgr.Get(u.ID) != u {
+							return fmt.Errorf("shard %d owns unit %d, which the manager does not hold", s.idx, u.ID)
+						}
+					}
+					owned += len(s.units)
+				}
+				if owned != w.mgr.Len() {
+					return fmt.Errorf("shards own %d units, manager holds %d", owned, w.mgr.Len())
+				}
+				return nil
+			}
+			if err := w.run(check); err != nil {
+				t.Fatalf("attack=%q shards=%d: %v", fl, shards, err)
+			}
+			if shards > 1 && w.migrations == 0 {
+				t.Errorf("attack=%q shards=%d: no migration in %v, so the invariant was not exercised", fl, shards, o.Duration)
+			}
+		}
+	}
+}
+
+// TestMigrationSkipsAbsorbedUnit covers the one race shard-reported
+// migration must settle: a unit that left its shard's arc in the same
+// epoch its join was accepted is absorbed at step 3, so step 6 must
+// not re-home it.
+func TestMigrationSkipsAbsorbedUnit(t *testing.T) {
+	o := small()
+	o.Platoons, o.VehiclesPerPlatoon, o.FreeAgents = 1, 2, 1
+	o.normalize()
+	w := build(o)
+	host, joiner := w.mgr.Get(1), w.mgr.Get(2)
+	from := w.shards[w.shardIdx(joiner.PosM)]
+	// The joiner drove into the other shard's arc this epoch.
+	joiner.PosM = w.ring.wrap(joiner.PosM + w.ring.lengthM/2)
+	from.leaving = append(from.leaving, joiner)
+	from.proposals = append(from.proposals, proposal{atNS: 0, kind: propJoin, unit: host.ID, seq: 1, other: joiner.ID})
+	if err := w.barrier(int64(o.Epoch)); err != nil {
+		t.Fatal(err)
+	}
+	if w.mgr.Get(joiner.ID) != nil {
+		t.Fatal("join was not applied")
+	}
+	for _, s := range w.shards {
+		if _, owned := s.unitIndex(joiner.ID); owned {
+			t.Errorf("shard %d re-homed unit %d after it was absorbed", s.idx, joiner.ID)
+		}
+	}
+	if w.migrations != 0 {
+		t.Errorf("counted %d migrations for an absorbed unit", w.migrations)
+	}
+}

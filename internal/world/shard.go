@@ -11,6 +11,8 @@ package world
 // order.
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"platoonsec/internal/mac"
@@ -75,23 +77,39 @@ type shard struct {
 	cfg mac.Config
 	jam *mac.Jammer // nil unless the jamming attack is configured
 
-	units map[uint32]*Unit
-	order []uint32
+	// units are the owned units in ID order. byPos holds the same
+	// units in (PosM, ID) order: the index windowed delivery
+	// binary-searches. It is refilled when membership changed
+	// (byPosStale) and otherwise re-sorted in place, since units move
+	// a few metres per epoch and leave it nearly sorted.
+	units      []*Unit
+	byPos      []*Unit
+	byPosStale bool
 
-	// Per-epoch outputs, drained and reset at each barrier.
+	// onEpoch is the tick event, bound once so that scheduling it
+	// allocates nothing.
+	onEpoch func()
+
+	// Per-epoch outputs, drained and reset at each barrier. leaving
+	// lists the units whose move took them out of this shard's arc;
+	// the barrier migrates them.
 	outbox    []txFrame
 	intents   []intent
 	proposals []proposal
+	leaving   []*Unit
 
 	// Frame accounting, summed into the world totals at each barrier.
 	// Per-(frame, receiver) work is identical at any sharding, so the
-	// sums are invariant even though the per-shard split is not.
+	// sums are invariant even though the per-shard split is not. So is
+	// rangeChecks: a window holds the same units whichever shard owns
+	// them.
 	delivered, lost, jammed uint64
 	nearTx, nearOK          uint64
 	farTx, farOK            uint64
 	denials, gapRestores    uint64
 	airtimeNS               int64
 	unitTicks               uint64
+	rangeChecks             uint64
 
 	// wallNS is the shard's own wall-clock step duration for the last
 	// epoch, measured only when Options.WallClock is injected. Written
@@ -100,65 +118,54 @@ type shard struct {
 	wallNS int64
 }
 
-// addUnit takes ownership of u, keeping order sorted.
+// unitIndex returns id's position in the ID-ordered units slice and
+// whether the shard owns it.
+func (s *shard) unitIndex(id uint32) (int, bool) {
+	return slices.BinarySearchFunc(s.units, id, func(u *Unit, id uint32) int { return cmp.Compare(u.ID, id) })
+}
+
+// addUnit takes ownership of u, keeping units in ID order.
 func (s *shard) addUnit(u *Unit) {
-	s.units[u.ID] = u
-	i := sort.Search(len(s.order), func(i int) bool { return s.order[i] >= u.ID })
-	s.order = append(s.order, 0)
-	copy(s.order[i+1:], s.order[i:])
-	s.order[i] = u.ID
+	i, _ := s.unitIndex(u.ID)
+	s.units = slices.Insert(s.units, i, u)
+	s.byPosStale = true
 }
 
-// removeUnit releases ownership of id.
-func (s *shard) removeUnit(id uint32) {
-	delete(s.units, id)
-	i := sort.Search(len(s.order), func(i int) bool { return s.order[i] >= id })
-	if i < len(s.order) && s.order[i] == id {
-		s.order = append(s.order[:i], s.order[i+1:]...)
+// removeUnit releases ownership of id, reporting whether the shard
+// owned it.
+func (s *shard) removeUnit(id uint32) bool {
+	i, ok := s.unitIndex(id)
+	if ok {
+		s.units = slices.Delete(s.units, i, i+1)
+		s.byPosStale = true
 	}
+	return ok
 }
 
-// step advances the shard kernel one epoch: a single tick event at
-// the epoch start processes the global air, moves the owned units and
-// emits their frames. Called from the engine worker pool; shards
-// share nothing mid-epoch.
-func (s *shard) step(start, end sim.Time) uint64 {
-	s.k.At(start, "world.epoch", func() { s.tick(int64(start), int64(end)) })
+// step advances the shard kernel through the world's current epoch:
+// a single tick event at the epoch start processes the global air,
+// moves the owned units and emits their frames. Called from the
+// engine's fork/join; shards share nothing mid-epoch.
+func (s *shard) step() {
+	s.k.At(s.w.epochStart, "world.epoch", s.onEpoch)
 	// Run to just short of the next epoch boundary so the next
 	// epoch's tick fires in the next step call, not this one.
-	if err := s.k.Run(end - 1); err != nil {
+	if err := s.k.Run(s.w.epochEnd - 1); err != nil {
 		panic(err) // kernel Stop is never used by the world
 	}
-	return s.k.EventsFired()
 }
 
 // tick is the per-epoch unit update. It runs on the shard kernel
 // goroutine and must only touch shard-owned state and the immutable
 // w.air slice.
-func (s *shard) tick(nowNS, endNS int64) {
+func (s *shard) tick() {
 	w := s.w
-	// Phase 1 — reception: every frame on the air last epoch, against
-	// every owned unit in ID order. Frame order is globally canonical
-	// (sorted at the barrier), so each receiving unit consumes its
-	// loss draws in the same order at any shard count.
-	for fi := range w.air {
-		f := &w.air[fi]
-		for _, id := range s.order {
-			u := s.units[id]
-			if u.ID == f.Src {
-				continue
-			}
-			d := w.ring.dist(u.PosM, f.PosM)
-			if d > w.opts.RadioRangeM {
-				continue
-			}
-			s.receive(u, f, d, nowNS)
-		}
-	}
+	nowNS, endNS := int64(w.epochStart), int64(w.epochEnd)
+	// Phase 1 — reception of every frame on the air last epoch.
+	s.receptions(func(u *Unit, f *Frame, distM float64) { s.receive(u, f, distM, nowNS) })
 	// Phase 2 — mobility and lifecycle initiative, in unit ID order.
 	dt := float64(endNS-nowNS) / 1e9
-	for _, id := range s.order {
-		u := s.units[id]
+	for _, u := range s.units {
 		s.unitTicks++
 		s.move(u, dt, nowNS)
 		s.act(u, nowNS)
@@ -166,7 +173,108 @@ func (s *shard) tick(nowNS, endNS int64) {
 		if nowNS >= u.BeaconAtNS {
 			s.sendBeacon(u, nowNS)
 		}
+		if w.shardIdx(u.PosM) != s.idx {
+			s.leaving = append(s.leaving, u)
+		}
 	}
+}
+
+// receptions calls rx for every (frame, owned unit) pair within
+// radio range, the sender excluded. Frames are the outer loop and
+// their order is globally canonical (sorted at the barrier), so each
+// receiving unit consumes its loss draws in the same order at any
+// shard count. Each frame's candidates come from a binary search of
+// the position index; the window only narrows them, and the exact
+// range predicate still decides who receives.
+func (s *shard) receptions(rx func(u *Unit, f *Frame, distM float64)) {
+	s.sortByPos()
+	for fi := range s.w.air {
+		f := &s.w.air[fi]
+		a0, a1, b0, b1 := s.window(f.PosM)
+		s.rangeChecks += uint64(a1 - a0 + b1 - b0)
+		for _, cands := range [2][]*Unit{s.byPos[a0:a1], s.byPos[b0:b1]} {
+			for _, u := range cands {
+				if u.ID == f.Src {
+					continue
+				}
+				if d := s.w.ring.dist(u.PosM, f.PosM); d <= s.w.opts.RadioRangeM {
+					rx(u, f, d)
+				}
+			}
+		}
+	}
+}
+
+// window returns the byPos index ranges [a0,a1) and [b0,b1) holding
+// every unit within radio range of pos, widened by roundingSlack. The
+// window wraps at the ring seam, so it covers at most two ranges;
+// when it spans the whole ring it covers every unit.
+func (s *shard) window(pos float64) (a0, a1, b0, b1 int) {
+	l := s.w.ring.lengthM
+	reach := s.w.opts.RadioRangeM + roundingSlack*l
+	if 2*reach >= l {
+		return 0, len(s.byPos), 0, 0
+	}
+	lo, hi := pos-reach, pos+reach
+	switch {
+	case lo < 0:
+		a0, a1 = s.between(lo+l, l)
+		b0, b1 = s.between(0, hi)
+	case hi >= l:
+		a0, a1 = s.between(lo, l)
+		b0, b1 = s.between(0, hi-l)
+	default:
+		a0, a1 = s.between(lo, hi)
+	}
+	return a0, a1, b0, b1
+}
+
+// between returns the byPos index range of the units with PosM in
+// [lo, hi]. Most windows miss a shard's arc entirely, which the
+// bounds test settles without a search.
+func (s *shard) between(lo, hi float64) (int, int) {
+	p := s.byPos
+	if len(p) == 0 || hi < p[0].PosM || lo > p[len(p)-1].PosM {
+		return 0, 0
+	}
+	i := sort.Search(len(p), func(i int) bool { return p[i].PosM >= lo })
+	return i, i + sort.Search(len(p)-i, func(k int) bool { return p[i+k].PosM > hi })
+}
+
+// sortByPos brings byPos into (PosM, ID) order for this epoch's
+// positions: a full refill and sort after a membership change, an
+// in-place insertion sort otherwise.
+func (s *shard) sortByPos() {
+	if s.byPosStale {
+		s.byPos = append(s.byPos[:0], s.units...)
+		slices.SortFunc(s.byPos, cmpPos)
+		s.byPosStale = false
+		return
+	}
+	p := s.byPos
+	for i := 1; i < len(p); i++ {
+		u, j := p[i], i
+		for ; j > 0 && posLess(u, p[j-1]); j-- {
+			p[j] = p[j-1]
+		}
+		p[j] = u
+	}
+}
+
+// posLess reports whether a precedes b in (PosM, ID) order.
+func posLess(a, b *Unit) bool {
+	return a.PosM < b.PosM || a.PosM == b.PosM && a.ID < b.ID
+}
+
+// cmpPos is posLess as a three-way comparison, for slices.SortFunc.
+func cmpPos(a, b *Unit) int {
+	switch {
+	case posLess(a, b):
+		return -1
+	case posLess(b, a):
+		return 1
+	}
+	return 0
 }
 
 // receive runs one (frame, receiver) delivery attempt: deterministic

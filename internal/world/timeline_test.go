@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"platoonsec/internal/sim"
@@ -88,7 +89,7 @@ func TestTimelineEpochIndexing(t *testing.T) {
 	if tl.Recorded != r.Epochs {
 		t.Errorf("recorded %d samples over %d epochs", tl.Recorded, r.Epochs)
 	}
-	var framesTx, ticks uint64
+	var framesTx, ticks, rangeChecks uint64
 	for i, s := range tl.Samples {
 		want := int64(o.Epoch) * int64(i+1)
 		if s.AtNS != want {
@@ -96,6 +97,7 @@ func TestTimelineEpochIndexing(t *testing.T) {
 		}
 		framesTx += s.Counters["world.frames_tx"]
 		ticks += s.Counters["world.unit_ticks"]
+		rangeChecks += s.Counters["world.range_checks"]
 		if _, leaked := s.Counters["world.migrations"]; leaked {
 			t.Fatalf("sample %d carries the partition-dependent migrations counter", i)
 		}
@@ -105,6 +107,10 @@ func TestTimelineEpochIndexing(t *testing.T) {
 	}
 	if ticks != r.UnitTicks {
 		t.Errorf("timeline tick deltas sum to %d, run counted %d", ticks, r.UnitTicks)
+	}
+	// Every delivery attempt was a window candidate first.
+	if rangeChecks < r.Delivered+r.Lost {
+		t.Errorf("%d range checks for %d delivery attempts", rangeChecks, r.Delivered+r.Lost)
 	}
 }
 
@@ -129,9 +135,9 @@ func TestTimelineDisabledAllocFree(t *testing.T) {
 }
 
 // TestTimelineWallClock checks the opt-in timing gauges: with an
-// injected clock every sample carries epoch and shard-step wall
-// milliseconds, and stripping the timeline still recovers the plain
-// run's Result.
+// injected clock every sample carries epoch, shard-step and barrier
+// wall milliseconds, and stripping the timeline still recovers the
+// plain run's Result.
 func TestTimelineWallClock(t *testing.T) {
 	o := small()
 	o.Duration = 5 * sim.Second
@@ -140,9 +146,10 @@ func TestTimelineWallClock(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var fake int64
+	// Shard workers read the clock concurrently, so the fake is atomic.
+	var fake atomic.Int64
 	o.Timeline = true
-	o.WallClock = func() int64 { fake += 1e6; return fake } // 1 ms per reading
+	o.WallClock = func() int64 { return fake.Add(1e6) } // 1 ms per reading
 	got, err := Run(o)
 	if err != nil {
 		t.Fatal(err)
@@ -153,6 +160,9 @@ func TestTimelineWallClock(t *testing.T) {
 		}
 		if _, ok := s.Gauges["world.shard_step_ms_max"]; !ok {
 			t.Fatalf("sample %d missing shard_step_ms_max: %v", i, s.Gauges)
+		}
+		if ms, ok := s.Gauges["world.barrier_wall_ms"]; !ok || ms <= 0 {
+			t.Fatalf("sample %d missing barrier_wall_ms or not timed: %v", i, s.Gauges)
 		}
 	}
 	got.Timeline = nil

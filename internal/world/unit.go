@@ -76,6 +76,11 @@ type Unit struct {
 	AheadDistM   float64
 	AheadSpeedMS float64
 	AheadAtNS    int64
+
+	// cruiseMS caches World.cruiseFor, derived from the seed, ID and
+	// Ghost. It is not on the wire: a decoded unit recomputes it on
+	// first use.
+	cruiseMS float64
 }
 
 // Size returns the number of vehicle identities the unit carries

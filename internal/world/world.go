@@ -23,10 +23,10 @@
 package world
 
 import (
-	"context"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"platoonsec/internal/engine"
 	"platoonsec/internal/mac"
@@ -98,11 +98,11 @@ type Options struct {
 	Timeline         bool
 	TimelineCapacity int
 	// WallClock, when non-nil, adds wall-timing gauges to each
-	// timeline sample: epoch wall milliseconds and the slowest
-	// shard's step milliseconds. Wall timings are inherently
-	// nondeterministic, so WallClock must stay nil when timeline
-	// bytes themselves must be reproducible; the rest of the Result
-	// is unaffected either way.
+	// timeline sample: epoch wall milliseconds, the slowest shard's
+	// step milliseconds and the barrier's own milliseconds. Wall
+	// timings are inherently nondeterministic, so WallClock must stay
+	// nil when timeline bytes themselves must be reproducible; the
+	// rest of the Result is unaffected either way.
 	WallClock func() int64
 }
 
@@ -196,7 +196,12 @@ type World struct {
 	ring   ring
 	mgr    *Manager
 	shards []*shard
-	owner  map[uint32]int // unit → owning shard index
+
+	// The epoch the shards are stepping (read-only while they run),
+	// and stepShard bound once so the per-epoch fork/join allocates
+	// nothing.
+	epochStart, epochEnd sim.Time
+	stepFn               func(int)
 
 	// air is the canonical frame list delivered during the current
 	// epoch (immutable while shards run).
@@ -206,6 +211,7 @@ type World struct {
 	collect []txFrame
 	intbuf  []intent
 	propbuf []proposal
+	moves   []*Unit
 	encBuf  []byte
 
 	spans   *span.Store
@@ -229,16 +235,19 @@ type World struct {
 
 	// Timeline recorder (nil unless Options.Timeline). The registry
 	// instruments are nil-safe, so the disabled path costs nothing.
-	tl            *timeline.Timeline
-	tlReg         *obs.Registry
-	tlFramesTx    *obs.Counter
-	tlDelivered   *obs.Counter
-	tlLost        *obs.Counter
-	tlJammed      *obs.Counter
-	tlUnitTicks   *obs.Counter
-	tlUnits       *obs.Gauge
-	tlEpochWallMS *obs.Gauge
-	tlShardStepMS *obs.Gauge
+	tl              *timeline.Timeline
+	tlReg           *obs.Registry
+	tlFramesTx      *obs.Counter
+	tlDelivered     *obs.Counter
+	tlLost          *obs.Counter
+	tlJammed        *obs.Counter
+	tlUnitTicks     *obs.Counter
+	tlRangeChecks   *obs.Counter
+	tlUnits         *obs.Gauge
+	tlEpochWallMS   *obs.Gauge
+	tlShardStepMS   *obs.Gauge
+	tlBarrierWallMS *obs.Gauge
+	barrierWallNS   int64 // last barrier's wall time (WallClock only)
 }
 
 // Run executes one world experiment, deterministic in Options alone
@@ -271,8 +280,15 @@ func (w *World) run(check func() error) error {
 		if err := w.runShards(start, end); err != nil {
 			return err
 		}
+		var barrierStart int64
+		if o.WallClock != nil {
+			barrierStart = o.WallClock()
+		}
 		if err := w.barrier(int64(end)); err != nil {
 			return err
+		}
+		if o.WallClock != nil {
+			w.barrierWallNS = o.WallClock() - barrierStart
 		}
 		w.sampleTimeline(int64(end), wallStart)
 		if check != nil {
@@ -291,9 +307,8 @@ func (w *World) run(check func() error) error {
 func build(o Options) *World {
 	w := &World{
 		opts:           o,
-		ring:           ring{lengthM: o.RingLengthM, junctions: o.Junctions},
+		ring:           newRing(o.RingLengthM, o.Junctions),
 		mgr:            NewManager(o.MaxPlatoonSize, o.VehicleLenM),
-		owner:          make(map[uint32]int),
 		beaconPeriodNS: int64(sim.Second),
 		staleNS:        int64(3 * sim.Second),
 		joinTimeoutNS:  int64(3 * sim.Second),
@@ -315,26 +330,30 @@ func build(o Options) *World {
 		w.tlLost = w.tlReg.Counter("world.lost")
 		w.tlJammed = w.tlReg.Counter("world.jammed")
 		w.tlUnitTicks = w.tlReg.Counter("world.unit_ticks")
+		w.tlRangeChecks = w.tlReg.Counter("world.range_checks")
 		w.tlUnits = w.tlReg.Gauge("world.units")
 		if o.WallClock != nil {
 			w.tlEpochWallMS = w.tlReg.Gauge("world.epoch_wall_ms")
 			w.tlShardStepMS = w.tlReg.Gauge("world.shard_step_ms_max")
+			w.tlBarrierWallMS = w.tlReg.Gauge("world.barrier_wall_ms")
 		}
 	}
 	env := phy.DefaultEnvironment()
 	env.RayleighFading = false // world propagation is deterministic math
 	env.ShadowSigmaDB = 0      // (loss randomness is per-unit counter-keyed)
+	w.stepFn = w.stepShard
 	for i := 0; i < o.Shards; i++ {
 		k := sim.NewKernel(o.Seed)
-		w.shards = append(w.shards, &shard{
-			w:     w,
-			idx:   i,
-			k:     k,
-			ch:    phy.NewChannel(env, k.Stream("phy")),
-			cfg:   mac.DefaultConfig(),
-			jam:   w.buildJammer(),
-			units: make(map[uint32]*Unit),
-		})
+		s := &shard{
+			w:   w,
+			idx: i,
+			k:   k,
+			ch:  phy.NewChannel(env, k.Stream("phy")),
+			cfg: mac.DefaultConfig(),
+			jam: w.buildJammer(),
+		}
+		s.onEpoch = s.tick
+		w.shards = append(w.shards, s)
 	}
 	// Initial population: platoons evenly spaced, then free agents on
 	// the half-offsets. Creation order fixes unit IDs and vehicle
@@ -389,12 +408,17 @@ const (
 
 // cruiseFor returns the unit's personal cruise speed: a fixed ±8%
 // spread around the configured cruise, so free agents genuinely catch
-// up with (and platoons drift apart from) one another.
+// up with (and platoons drift apart from) one another. It is a pure
+// function of the seed, ID and Ghost, so it is computed once per unit
+// and cached on it.
 func (w *World) cruiseFor(u *Unit) float64 {
-	if u.Ghost {
-		return w.opts.CruiseMS
+	if u.cruiseMS == 0 {
+		u.cruiseMS = w.opts.CruiseMS
+		if !u.Ghost {
+			u.cruiseMS *= 0.92 + 0.16*dice(w.opts.Seed, u.ID, tagCruise)
+		}
 	}
-	return w.opts.CruiseMS * (0.92 + 0.16*dice(w.opts.Seed, u.ID, tagCruise))
+	return u.cruiseMS
 }
 
 // shardIdx maps a ring position to its home shard.
@@ -409,50 +433,43 @@ func (w *World) shardIdx(posM float64) int {
 	return i
 }
 
-// shardFor returns the home shard for a position.
-func (w *World) shardFor(posM float64) *shard { return w.shards[w.shardIdx(posM)] }
-
 // assign homes u on the shard owning its position.
 func (w *World) assign(u *Unit) {
-	i := w.shardIdx(u.PosM)
-	w.shards[i].addUnit(u)
-	w.owner[u.ID] = i
+	w.shards[w.shardIdx(u.PosM)].addUnit(u)
 }
 
-// unassign releases u from its owning shard.
+// unassign releases id from whichever shard owns it: its home shard,
+// or the shard it is leaving this barrier.
 func (w *World) unassign(id uint32) {
-	if i, ok := w.owner[id]; ok {
-		w.shards[i].removeUnit(id)
-		delete(w.owner, id)
-	}
-}
-
-// runShards steps every shard through [start, end) on the engine
-// worker pool. Shards share nothing mid-epoch, so worker count and
-// scheduling cannot change any observable.
-func (w *World) runShards(start, end sim.Time) error {
-	jobs := make([]engine.Job[uint64], len(w.shards))
-	for i := range w.shards {
-		s := w.shards[i]
-		if wc := w.opts.WallClock; wc != nil {
-			jobs[i] = func(context.Context) (uint64, error) {
-				t0 := wc()
-				n := s.step(start, end)
-				s.wallNS = wc() - t0
-				return n, nil
-			}
-		} else {
-			jobs[i] = func(context.Context) (uint64, error) { return s.step(start, end), nil }
+	for _, s := range w.shards {
+		if s.removeUnit(id) {
+			return
 		}
 	}
-	rep := engine.Sweep(context.Background(), jobs, engine.Config[uint64]{
-		Workers:        w.opts.Workers,
-		DiscardResults: true,
-	})
-	if rep.Err != nil {
-		return fmt.Errorf("world: shard step: %w", rep.Err)
+}
+
+// runShards steps every shard through [start, end) on the engine's
+// fork/join. Shards share nothing mid-epoch, so worker count and
+// scheduling cannot change any observable.
+func (w *World) runShards(start, end sim.Time) error {
+	w.epochStart, w.epochEnd = start, end
+	if err := engine.ForEach(w.opts.Workers, len(w.shards), w.stepFn); err != nil {
+		return fmt.Errorf("world: shard step: %w", err)
 	}
 	return nil
+}
+
+// stepShard steps shard i through the current epoch, timing it when a
+// WallClock is injected.
+func (w *World) stepShard(i int) {
+	s := w.shards[i]
+	if wc := w.opts.WallClock; wc != nil {
+		t0 := wc()
+		s.step()
+		s.wallNS = wc() - t0
+		return
+	}
+	s.step()
 }
 
 // barrier is the coordinator phase between epochs: drain intents,
@@ -469,15 +486,8 @@ func (w *World) barrier(endNS int64) error {
 		intents = append(intents, s.intents...)
 		s.intents = s.intents[:0]
 	}
-	sort.Slice(intents, func(i, j int) bool {
-		a, b := &intents[i], &intents[j]
-		if a.atNS != b.atNS {
-			return a.atNS < b.atNS
-		}
-		if a.unit != b.unit {
-			return a.unit < b.unit
-		}
-		return a.seq < b.seq
+	slices.SortFunc(intents, func(a, b intent) int {
+		return cmp.Or(cmp.Compare(a.atNS, b.atNS), cmp.Compare(a.unit, b.unit), cmp.Compare(a.seq, b.seq))
 	})
 	var refs map[uint64]span.ID
 	for i := range intents {
@@ -513,15 +523,8 @@ func (w *World) barrier(endNS int64) error {
 		frames = append(frames, s.outbox...)
 		s.outbox = s.outbox[:0]
 	}
-	sort.Slice(frames, func(i, j int) bool {
-		a, b := &frames[i], &frames[j]
-		if a.AtNS != b.AtNS {
-			return a.AtNS < b.AtNS
-		}
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		return a.Seq < b.Seq
+	slices.SortFunc(frames, func(a, b txFrame) int {
+		return cmp.Or(cmp.Compare(a.AtNS, b.AtNS), cmp.Compare(a.Src, b.Src), cmp.Compare(a.Seq, b.Seq))
 	})
 	w.framesTx += uint64(len(frames))
 	w.tlFramesTx.Add(uint64(len(frames)))
@@ -552,21 +555,9 @@ func (w *World) barrier(endNS int64) error {
 		props = append(props, s.proposals...)
 		s.proposals = s.proposals[:0]
 	}
-	sort.Slice(props, func(i, j int) bool {
-		a, b := &props[i], &props[j]
-		if a.atNS != b.atNS {
-			return a.atNS < b.atNS
-		}
-		if a.unit != b.unit {
-			return a.unit < b.unit
-		}
-		if a.seq != b.seq {
-			return a.seq < b.seq
-		}
-		if a.other != b.other {
-			return a.other < b.other
-		}
-		return a.kind < b.kind
+	slices.SortFunc(props, func(a, b proposal) int {
+		return cmp.Or(cmp.Compare(a.atNS, b.atNS), cmp.Compare(a.unit, b.unit), cmp.Compare(a.seq, b.seq),
+			cmp.Compare(a.other, b.other), cmp.Compare(a.kind, b.kind))
 	})
 	for i := range props {
 		w.applyProposal(&props[i])
@@ -585,6 +576,7 @@ func (w *World) barrier(endNS int64) error {
 		w.tlLost.Add(s.lost)
 		w.tlJammed.Add(s.jammed)
 		w.tlUnitTicks.Add(s.unitTicks)
+		w.tlRangeChecks.Add(s.rangeChecks)
 		w.delivered += s.delivered
 		w.lost += s.lost
 		w.jammed += s.jammed
@@ -598,27 +590,35 @@ func (w *World) barrier(endNS int64) error {
 		w.mgr.C.GapRestores += s.gapRestores
 		s.delivered, s.lost, s.jammed = 0, 0, 0
 		s.nearTx, s.nearOK, s.farTx, s.farOK = 0, 0, 0, 0
-		s.unitTicks, s.airtimeNS = 0, 0
+		s.unitTicks, s.airtimeNS, s.rangeChecks = 0, 0, 0
 		s.denials, s.gapRestores = 0, 0
 	}
 
-	// 6. Migrate units whose position left their shard's arc, in
-	// unit-ID order, through the handoff codec.
-	for _, id := range w.mgr.Order() {
-		u := w.mgr.Get(id)
-		cur, home := w.owner[id], w.shardIdx(u.PosM)
-		if cur == home {
-			continue
+	// 6. Migrate the units the shards reported outside their arcs,
+	// in unit-ID order, through the handoff codec. Only a shard's
+	// move changes a position, and the barrier homes every unit it
+	// creates by position, so these are all the misplaced units.
+	moves := w.moves[:0]
+	for _, s := range w.shards {
+		moves = append(moves, s.leaving...)
+		clear(s.leaving)
+		s.leaving = s.leaving[:0]
+	}
+	slices.SortFunc(moves, func(a, b *Unit) int { return cmp.Compare(a.ID, b.ID) })
+	for _, u := range moves {
+		if w.mgr.Get(u.ID) != u {
+			continue // absorbed by a join or merge at step 3
 		}
 		w.encBuf = u.AppendTo(w.encBuf[:0])
 		if err := DecodeUnit(w.encBuf, u); err != nil {
-			return fmt.Errorf("world: migrating unit %d: %w", id, err)
+			return fmt.Errorf("world: migrating unit %d: %w", u.ID, err)
 		}
-		w.shards[cur].removeUnit(id)
-		w.shards[home].addUnit(u)
-		w.owner[id] = home
+		w.unassign(u.ID)
+		w.assign(u)
 		w.migrations++
 	}
+	clear(moves)
+	w.moves = moves[:0]
 
 	// 7. Put the epoch's frames on the air for next epoch's ticks,
 	// through the same codec bytes a cross-shard hop would use.
@@ -735,9 +735,10 @@ func (w *World) sampleTimeline(endNS, wallStart int64) {
 	if w.tl == nil {
 		return
 	}
-	w.tlUnits.Set(float64(len(w.owner)))
+	w.tlUnits.Set(float64(w.mgr.Len()))
 	if wc := w.opts.WallClock; wc != nil {
 		w.tlEpochWallMS.Set(float64(wc()-wallStart) / 1e6)
+		w.tlBarrierWallMS.Set(float64(w.barrierWallNS) / 1e6)
 		var maxNS int64
 		for _, s := range w.shards {
 			if s.wallNS > maxNS {

@@ -199,3 +199,66 @@ func TestOptionsValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestSteadyStateEpochAllocFree pins the epoch's allocation rate: with
+// spans and the timeline off, a warmed epoch — windowed delivery,
+// mobility, beacons, the barrier's sorts and its frame codec round
+// trip — allocates nothing. One worker keeps the shard fork/join
+// inline (each extra worker is a goroutine spawn). The measured window
+// must hold no roster mutation or migration: new units, rosters and
+// decoded migration records legitimately allocate.
+func TestSteadyStateEpochAllocFree(t *testing.T) {
+	o := small()
+	o.Shards, o.Workers = 2, 1
+	o.FreeAgents = 0
+	o.JunctionExitProb = 1e-12 // junction crossings, but no exits
+	o.normalize()
+	w := build(o)
+	var start sim.Time
+	epoch := func() {
+		if err := w.runShards(start, start+o.Epoch); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.barrier(int64(start + o.Epoch)); err != nil {
+			t.Fatal(err)
+		}
+		start += o.Epoch
+	}
+	// Warm up: every unit has beaconed and every scratch slice has
+	// grown to its working size.
+	for start < 3*sim.Second {
+		epoch()
+	}
+	mutations := func() [3]uint64 {
+		c := w.mgr.C
+		return [3]uint64{c.Created, c.Joins + c.Merges + c.Leaves + c.Splits, w.migrations}
+	}
+	before, delivered := mutations(), w.delivered
+	allocs := testing.AllocsPerRun(50, epoch)
+	if after := mutations(); after != before {
+		t.Fatalf("measured window is not steady state: (created, roster changes, migrations) went %v → %v", before, after)
+	}
+	if w.delivered == delivered {
+		t.Fatal("no frame was delivered in the measured window")
+	}
+	if allocs != 0 {
+		t.Errorf("a steady-state epoch allocates %v times, want 0", allocs)
+	}
+}
+
+// TestShardPanicBecomesError pins the fork/join's failure path: a
+// panicking shard surfaces as a run error naming the shard step, not
+// as a crashed process.
+func TestShardPanicBecomesError(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		o := small()
+		o.Workers = workers
+		o.normalize()
+		w := build(o)
+		w.shards[1].onEpoch = func() { panic("boom") }
+		err := w.run(nil)
+		if err == nil || !strings.Contains(err.Error(), "world: shard step: engine: run 1 panicked: boom") {
+			t.Errorf("workers=%d: want the shard panic as an error, got %v", workers, err)
+		}
+	}
+}
