@@ -104,12 +104,11 @@ fuzz-smoke:
 	go test -run=^$$ -fuzz=FuzzDecodeWorldFrame -fuzztime=10s ./internal/world
 	go test -run=^$$ -fuzz=FuzzDecodeWorldMigration -fuzztime=10s ./internal/world
 
-## docs regenerates every generated document in one step: the rendered
-## paper tables (docs_tables_output.txt) and the attack/defense
-## reference under docs/. Both are committed; CI fails if they drift
-## (see docs-check).
+## docs regenerates every generated document from one measurement:
+## the rendered paper tables (docs_tables_output.txt) and the
+## attack/defense reference under docs/. Both are committed; CI fails
+## if they drift (see docs-check).
 docs:
-	go test ./cmd/tables -run TestGoldenTablesOutput -update -count=1
 	go run ./cmd/docsgen
 	$(MAKE) linkcheck
 

@@ -33,11 +33,6 @@ import (
 	"platoonsec/internal/vehicle"
 )
 
-// benchCfg sizes the scenario experiments: the DESIGN.md E2 shell.
-func benchCfg() lab.Config {
-	return lab.Config{Seed: 1, Duration: 60 * sim.Second, Vehicles: 8}
-}
-
 func benchOpts(attack string, defense platoonsec.DefensePack) platoonsec.Options {
 	o := platoonsec.DefaultOptions()
 	o.Duration = 60 * platoonsec.Second
@@ -71,22 +66,14 @@ func BenchmarkTableI(b *testing.B) {
 // the attack against an undefended platoon and report the property the
 // paper says it compromises.
 func BenchmarkTableII(b *testing.B) {
-	base := mustRun(b, benchOpts("", platoonsec.DefensePack{}))
+	cfg := lab.DefaultConfig()
+	base := mustRun(b, cfg.OptionsFor("", platoonsec.DefensePack{}))
 	for _, a := range taxonomy.Attacks() {
 		a := a
 		b.Run(a.Key, func(b *testing.B) {
 			var r *platoonsec.Result
 			for i := 0; i < b.N; i++ {
-				o := benchOpts(a.Key, platoonsec.DefensePack{})
-				switch a.Key {
-				case "dos", "sybil":
-					o.WithJoiner = true
-					o.JoinerAt = o.AttackStart + 15*platoonsec.Second
-					if a.Key == "sybil" {
-						o.Cfg.MaxMembers = o.Vehicles - 1 + 5
-					}
-				}
-				r = mustRun(b, o)
+				r = mustRun(b, cfg.OptionsFor(a.Key, platoonsec.DefensePack{}))
 			}
 			b.ReportMetric(r.MaxSpacingErr, "spacing_m")
 			b.ReportMetric(r.DisbandedFrac*100, "disband_%")
@@ -101,28 +88,26 @@ func BenchmarkTableII(b *testing.B) {
 // BenchmarkTableIII regenerates every claimed mechanism × attack cell
 // of Table III (E3), reporting 1/0 mitigation verdicts.
 func BenchmarkTableIII(b *testing.B) {
-	cfg := benchCfg()
-	for _, m := range taxonomy.Mechanisms() {
-		for _, attackKey := range m.Mitigates {
-			m, attackKey := m, attackKey
-			b.Run(m.Key+"/"+attackKey, func(b *testing.B) {
-				var cell *lab.Cell
-				for i := 0; i < b.N; i++ {
-					var err error
-					cell, err = lab.MeasureCell(cfg, attackKey, m.Key)
-					if err != nil {
-						b.Fatal(err)
-					}
+	cfg := lab.DefaultConfig()
+	for _, pc := range lab.ClaimedCells() {
+		pc := pc
+		b.Run(pc.Mechanism+"/"+pc.Attack, func(b *testing.B) {
+			var cell *lab.Cell
+			for i := 0; i < b.N; i++ {
+				t, err := lab.Measure(cfg, lab.Plan{Cells: []lab.Pair{pc}}, 0)
+				if err != nil {
+					b.Fatal(err)
 				}
-				mit := 0.0
-				if cell.Mitigated {
-					mit = 1.0
-				}
-				b.ReportMetric(mit, "mitigated")
-				b.ReportMetric(cell.Defended.MaxSpacingErr, "def_spacing_m")
-				b.ReportMetric(cell.Undefended.MaxSpacingErr, "undef_spacing_m")
-			})
-		}
+				cell = t.Cells[pc]
+			}
+			mit := 0.0
+			if cell.Mitigated {
+				mit = 1.0
+			}
+			b.ReportMetric(mit, "mitigated")
+			b.ReportMetric(cell.Defended.MaxSpacingErr, "def_spacing_m")
+			b.ReportMetric(cell.Undefended.MaxSpacingErr, "undef_spacing_m")
+		})
 	}
 }
 
@@ -147,14 +132,17 @@ func BenchmarkReplayOscillation(b *testing.B) {
 // MAC starvation versus power, the paper's "impossible to maintain
 // communications" claim as a dose-response curve.
 func BenchmarkJammingSweep(b *testing.B) {
-	for _, power := range []float64{10, 20, 30, 40, 50} {
+	cfg := lab.DefaultConfig()
+	for _, power := range lab.JammingCurve() {
 		power := power
 		b.Run(fmt.Sprintf("power=%.0fdBm", power), func(b *testing.B) {
 			var r *platoonsec.Result
 			for i := 0; i < b.N; i++ {
-				o := benchOpts("jamming", platoonsec.DefensePack{})
-				o.JammerPowerDBm = power
-				r = mustRun(b, o)
+				t, err := lab.Measure(cfg, lab.Plan{JammerPowers: []float64{power}}, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				r = t.Jamming[0]
 			}
 			b.ReportMetric(r.DisbandedFrac*100, "disband_%")
 			b.ReportMetric(float64(r.MACStuckDrops), "stuck_drops")
@@ -220,18 +208,13 @@ func BenchmarkVPDADA(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	cfg := lab.DefaultConfig()
 	for _, attackKey := range []string{"sensor-spoofing", "malware", "sybil"} {
 		attackKey := attackKey
 		b.Run(attackKey, func(b *testing.B) {
 			var r *platoonsec.Result
 			for i := 0; i < b.N; i++ {
-				o := benchOpts(attackKey, pack)
-				if attackKey == "sybil" {
-					o.WithJoiner = true
-					o.JoinerAt = o.AttackStart + 15*platoonsec.Second
-					o.Cfg.MaxMembers = o.Vehicles - 1 + 5
-				}
-				r = mustRun(b, o)
+				r = mustRun(b, cfg.OptionsFor(attackKey, pack))
 			}
 			b.ReportMetric(r.DetectionCoverage, "coverage")
 			b.ReportMetric(r.DetectionPrecision, "precision")
@@ -243,11 +226,11 @@ func BenchmarkVPDADA(b *testing.B) {
 // BenchmarkRiskMatrix builds the §VI-B4 risk matrix from measured
 // Table II evidence (E9).
 func BenchmarkRiskMatrix(b *testing.B) {
-	outcomes, err := lab.MeasureTableII(benchCfg())
+	t, err := lab.Measure(lab.DefaultConfig(), lab.Plan{TableII: true}, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ev := lab.RiskEvidence(outcomes)
+	ev := lab.RiskEvidence(t.Outcomes)
 	b.ResetTimer()
 	var matrix []risk.Assessment
 	for i := 0; i < b.N; i++ {

@@ -1,16 +1,17 @@
 // Command attacklab sweeps the full attack × defense-mechanism matrix —
 // including pairings the paper does NOT claim — and prints a grid
 // comparing measured mitigation against the paper's Table III claims.
-// Cells are measured in parallel on the experiment engine; the grid is
-// identical for any worker count because each cell is a deterministic
-// pair of runs and emission is index-ordered.
+// The grid is one lab.Plan measured in parallel on the experiment
+// engine, each attack's undefended run shared by its row; the output is
+// identical for any worker count because every run is deterministic
+// and emission follows the grid order.
 //
 //	attacklab [-quick] [-seed N] [-attack KEY] [-mech KEY] [-v]
 //	          [-workers N] [-jsonl FILE] [-stats] [-obs]
 //	          [-forensics FILE] [-cpuprofile FILE] [-memprofile FILE]
 //
-//	-workers N       parallel cell workers (0 = GOMAXPROCS)
-//	-jsonl FILE      stream per-cell results as JSON lines to FILE
+//	-workers N       parallel run workers (0 = GOMAXPROCS)
+//	-jsonl FILE      write per-cell results as JSON lines to FILE
 //	-stats           print engine telemetry (runs/sec, p50/p95) to stderr
 //	-obs             attach the flight recorder to every run and print
 //	                 the aggregated observability counters to stderr
@@ -23,7 +24,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -52,8 +52,8 @@ func run(args []string) (err error) {
 	onlyAttack := fs.String("attack", "", "restrict to one attack key")
 	onlyMech := fs.String("mech", "", "restrict to one mechanism key")
 	verbose := fs.Bool("v", false, "print per-cell details")
-	workers := fs.Int("workers", 0, "parallel cell workers (0 = GOMAXPROCS)")
-	jsonlFile := fs.String("jsonl", "", "stream per-cell results as JSON lines to FILE")
+	workers := fs.Int("workers", 0, "parallel run workers (0 = GOMAXPROCS)")
+	jsonlFile := fs.String("jsonl", "", "write per-cell results as JSON lines to FILE")
 	stats := fs.Bool("stats", false, "print engine telemetry to stderr")
 	obsOn := fs.Bool("obs", false, "attach the flight recorder and print aggregated counters to stderr")
 	forensicsFile := fs.String("forensics", "", "write per-cell attack→effect attribution reports as JSON to FILE")
@@ -87,7 +87,7 @@ func run(args []string) (err error) {
 	mechs := taxonomy.Mechanisms()
 
 	// The measured cells, row-major over the filtered grid.
-	var pairs []pair
+	var pairs []lab.Pair
 	for _, a := range attacks {
 		if *onlyAttack != "" && a.Key != *onlyAttack {
 			continue
@@ -96,60 +96,18 @@ func run(args []string) (err error) {
 			if *onlyMech != "" && m.Key != *onlyMech {
 				continue
 			}
-			pairs = append(pairs, pair{a.Key, m.Key})
+			pairs = append(pairs, lab.Pair{Attack: a.Key, Mechanism: m.Key})
 		}
 	}
-	jobs := make([]engine.Job[*lab.Cell], len(pairs))
-	for i := range pairs {
-		p := pairs[i]
-		jobs[i] = func(context.Context) (*lab.Cell, error) {
-			return lab.MeasureCell(cfg, p.attack, p.mech)
-		}
+	tables, err := lab.Measure(cfg, lab.Plan{Cells: pairs}, *workers)
+	if err != nil {
+		return err
 	}
-	ecfg := engine.Config[*lab.Cell]{
-		Workers: *workers,
-		Policy:  engine.FailFast,
-		EventsOf: func(c *lab.Cell) uint64 {
-			return c.Undefended.EventsFired + c.Defended.EventsFired
-		},
-		CountersOf: func(c *lab.Cell) map[string]uint64 {
-			// Pure reduction: sum the cell's two runs.
-			merged := make(map[string]uint64)
-			for _, r := range []*scenario.Result{c.Undefended, c.Defended} {
-				if r.Obs == nil {
-					continue
-				}
-				for name, v := range r.Obs.Counters {
-					merged[name] += v
-				}
-			}
-			return merged
-		},
-	}
+	cells := tables.Cells
 	if *jsonlFile != "" {
-		f, ferr := os.Create(*jsonlFile)
-		if ferr != nil {
-			return fmt.Errorf("jsonl file: %w", ferr)
+		if err := writeJSONL(*jsonlFile, pairs, cells); err != nil {
+			return err
 		}
-		defer func() {
-			if cerr := f.Close(); cerr != nil && err == nil {
-				err = fmt.Errorf("jsonl file: %w", cerr)
-			}
-		}()
-		ecfg.Results = f
-	}
-
-	rep := engine.Sweep(context.Background(), jobs, ecfg)
-	if rep.Err != nil {
-		p := pairs[rep.ErrIndex]
-		return fmt.Errorf("%s × %s: %w", p.attack, p.mech, rep.Err)
-	}
-	if rep.SinkErr != nil {
-		return rep.SinkErr
-	}
-	cells := make(map[pair]*lab.Cell, len(pairs))
-	for i, c := range rep.Results {
-		cells[pairs[i]] = c
 	}
 
 	fmt.Printf("%-18s", "attack \\ mech")
@@ -165,7 +123,7 @@ func run(args []string) (err error) {
 		}
 		fmt.Printf("%-18s", a.Key)
 		for _, m := range mechs {
-			cell, ok := cells[pair{a.Key, m.Key}]
+			cell, ok := cells[lab.Pair{Attack: a.Key, Mechanism: m.Key}]
 			if !ok {
 				fmt.Printf(" %-20s", "-")
 				continue
@@ -186,35 +144,80 @@ func run(args []string) (err error) {
 	fmt.Println("legend: ✓✓ claimed & mitigated   ·· unclaimed & not mitigated")
 	fmt.Println("        ✗C claimed but NOT mitigated   +U mitigated beyond claim")
 	if *forensicsFile != "" {
-		if werr := writeForensics(*forensicsFile, pairs, rep.Results); werr != nil {
+		if werr := writeForensics(*forensicsFile, pairs, cells); werr != nil {
 			return werr
 		}
 	}
 	if *stats {
-		fmt.Fprintln(os.Stderr, "engine:", rep.Telemetry.String())
+		fmt.Fprintln(os.Stderr, "engine:", tables.Telemetry.String())
 	}
-	if *obsOn && len(rep.Telemetry.Counters) > 0 {
+	if counters := cellCounters(pairs, cells); *obsOn && len(counters) > 0 {
 		fmt.Fprintln(os.Stderr, "obs counters (all cells):")
-		names := make([]string, 0, len(rep.Telemetry.Counters))
-		for name := range rep.Telemetry.Counters {
+		names := make([]string, 0, len(counters))
+		for name := range counters {
 			names = append(names, name)
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			fmt.Fprintf(os.Stderr, "  %-22s %d\n", name, rep.Telemetry.Counters[name])
+			fmt.Fprintf(os.Stderr, "  %-22s %d\n", name, counters[name])
 		}
 	}
 	return nil
 }
 
-// pair addresses one (attack, mechanism) grid cell.
-type pair struct{ attack, mech string }
+// cellCounters sums the flight-recorder counters of each cell's two
+// runs. An undefended run shared by several cells counts once per cell.
+func cellCounters(pairs []lab.Pair, cells map[lab.Pair]*lab.Cell) map[string]uint64 {
+	merged := make(map[string]uint64)
+	for _, p := range pairs {
+		for _, r := range []*scenario.Result{cells[p].Undefended, cells[p].Defended} {
+			if r.Obs == nil {
+				continue
+			}
+			for name, v := range r.Obs.Counters {
+				merged[name] += v
+			}
+		}
+	}
+	return merged
+}
+
+// writeJSONL writes one engine.Record line per cell in grid order,
+// the format an engine results sink streams.
+func writeJSONL(path string, pairs []lab.Pair, cells map[lab.Pair]*lab.Cell) error {
+	return writeFile(path, "jsonl", func(enc *json.Encoder) error {
+		for i, p := range pairs {
+			if err := enc.Encode(engine.Record{Index: i, Result: cells[p]}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// writeFile creates path and fills it through a JSON encoder,
+// labelling any create, encode or close error with what the file is.
+func writeFile(path, label string, write func(*json.Encoder) error) (err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("%s file: %w", label, err)
+	}
+	defer func() {
+		if cerr := f.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("%s file: %w", label, cerr)
+		}
+	}()
+	if err := write(json.NewEncoder(f)); err != nil {
+		return fmt.Errorf("%s file: %w", label, err)
+	}
+	return nil
+}
 
 // writeForensics dumps every cell's causal attribution reports as one
 // JSON document, in grid (row-major) order. Each run is deterministic
 // and emission order is fixed, so the bytes are identical at any
 // worker count — the file is CI-artifact material.
-func writeForensics(path string, pairs []pair, cells []*lab.Cell) (err error) {
+func writeForensics(path string, pairs []lab.Pair, cells map[lab.Pair]*lab.Cell) error {
 	type cellForensics struct {
 		Attack     string          `json:"attack"`
 		Mechanism  string          `json:"mechanism"`
@@ -224,24 +227,16 @@ func writeForensics(path string, pairs []pair, cells []*lab.Cell) (err error) {
 	doc := make([]cellForensics, len(pairs))
 	for i, p := range pairs {
 		doc[i] = cellForensics{
-			Attack:     p.attack,
-			Mechanism:  p.mech,
-			Undefended: cells[i].Undefended.Forensics,
-			Defended:   cells[i].Defended.Forensics,
+			Attack:     p.Attack,
+			Mechanism:  p.Mechanism,
+			Undefended: cells[p].Undefended.Forensics,
+			Defended:   cells[p].Defended.Forensics,
 		}
 	}
-	f, ferr := os.Create(path)
-	if ferr != nil {
-		return fmt.Errorf("forensics file: %w", ferr)
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("forensics file: %w", cerr)
-		}
-	}()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	return writeFile(path, "forensics", func(enc *json.Encoder) error {
+		enc.SetIndent("", "  ")
+		return enc.Encode(doc)
+	})
 }
 
 func cellMark(c *lab.Cell) string {

@@ -59,7 +59,6 @@ import (
 	"platoonsec/internal/scenario"
 	"platoonsec/internal/service"
 	"platoonsec/internal/sim"
-	"platoonsec/internal/taxonomy"
 	"platoonsec/internal/world"
 )
 
@@ -148,7 +147,11 @@ func run(args []string) (err error) {
 		Obs:        *obsOn,
 		Spans:      *spansOn,
 	}
-	for _, wl := range workloads(cfg) {
+	wls, err := workloads(cfg)
+	if err != nil {
+		return err
+	}
+	for _, wl := range wls {
 		rep := scenario.SweepReport(context.Background(), wl.Opts, scenario.SweepConfig{
 			Workers:        *workers,
 			DiscardResults: true, // measure the streaming path; memory stays flat
@@ -250,46 +253,28 @@ func run(args []string) (err error) {
 	return nil
 }
 
-// workloads builds the three benchmark batches from the lab config,
-// mirroring how the tables harness drives the same experiments.
-func workloads(cfg lab.Config) []workload {
-	none := scenario.DefensePack{}
-
-	// E2: the Table II sweep — one baseline plus every attack class,
-	// all undefended.
-	e2 := []scenario.Options{cfg.OptionsFor("", none)}
-	for _, a := range taxonomy.Attacks() {
-		e2 = append(e2, cfg.OptionsFor(a.Key, none))
+// workloads builds the three benchmark batches from lab plans. Each
+// batch times every run its experiment names, duplicates included (a
+// Table III cell's undefended run is also a Table II row), so ns/run
+// and allocs/run stay comparable with the committed baselines.
+func workloads(cfg lab.Config) ([]workload, error) {
+	wls := []struct {
+		name, experiment string
+		plan             lab.Plan
+	}{
+		{"E2-tableII", "Table II attack sweep (EXPERIMENTS.md E2)", lab.Plan{TableII: true}},
+		{"E3-tableIII", "Table III defense matrix (EXPERIMENTS.md E3)", lab.Plan{Cells: lab.ClaimedCells()}},
+		{"E5-jamming", "jamming dose-response 10-50 dBm (EXPERIMENTS.md E5)", lab.Plan{JammerPowers: lab.JammingCurve()}},
 	}
-
-	// E3: the Table III matrix — every claimed (mechanism, attack)
-	// pairing, as an undefended/defended run pair per cell.
-	var e3 []scenario.Options
-	for _, m := range taxonomy.Mechanisms() {
-		pack, err := scenario.PackForMechanism(m.Key)
+	out := make([]workload, len(wls))
+	for i, wl := range wls {
+		opts, err := wl.plan.Runs(cfg)
 		if err != nil {
-			// Mechanism registry and preset table are defined together;
-			// a miss is a programming error surfaced by tests.
-			panic(err)
+			return nil, err
 		}
-		for _, attackKey := range m.Mitigates {
-			e3 = append(e3, cfg.OptionsFor(attackKey, none), cfg.OptionsFor(attackKey, pack))
-		}
+		out[i] = workload{Name: wl.name, Experiment: wl.experiment, Opts: opts}
 	}
-
-	// E5: the jamming dose-response curve.
-	var e5 []scenario.Options
-	for _, power := range []float64{10, 20, 30, 40, 50} {
-		o := cfg.OptionsFor("jamming", none)
-		o.JammerPowerDBm = power
-		e5 = append(e5, o)
-	}
-
-	return []workload{
-		{Name: "E2-tableII", Experiment: "Table II attack sweep (EXPERIMENTS.md E2)", Opts: e2},
-		{Name: "E3-tableIII", Experiment: "Table III defense matrix (EXPERIMENTS.md E3)", Opts: e3},
-		{Name: "E5-jamming", Experiment: "jamming dose-response 10-50 dBm (EXPERIMENTS.md E5)", Opts: e5},
-	}
+	return out, nil
 }
 
 // platoondJobs builds the E19 batch: an in-process platoond server on

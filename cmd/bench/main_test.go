@@ -4,28 +4,67 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"platoonsec/internal/lab"
+	"platoonsec/internal/scenario"
 	"platoonsec/internal/sim"
+	"platoonsec/internal/taxonomy"
 )
 
+// TestWorkloadsCoverE2E3E5 pins the E2/E3/E5 run lists to the ones the
+// committed BENCH_*.json baselines timed: same runs, same order, so the
+// allocs/run gate compares like with like.
 func TestWorkloadsCoverE2E3E5(t *testing.T) {
 	cfg := lab.DefaultConfig()
 	cfg.Duration = 10 * sim.Second
 	cfg.Vehicles = 4
-	wls := workloads(cfg)
-	if len(wls) != 3 {
-		t.Fatalf("got %d workloads, want 3", len(wls))
+	wls, err := workloads(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wantMin := map[string]int{
-		"E2-tableII":  10, // baseline + 9 attacks
-		"E3-tableIII": 36, // 18 claimed cells × (undefended + defended)
-		"E5-jamming":  5,  // 10..50 dBm
+	none := scenario.DefensePack{}
+	e2 := []scenario.Options{cfg.OptionsFor("", none)}
+	for _, a := range taxonomy.Attacks() {
+		e2 = append(e2, cfg.OptionsFor(a.Key, none))
 	}
-	for _, wl := range wls {
-		if min, ok := wantMin[wl.Name]; !ok || len(wl.Opts) < min {
-			t.Errorf("workload %s has %d runs, want >= %d", wl.Name, len(wl.Opts), wantMin[wl.Name])
+	var e3 []scenario.Options
+	for _, m := range taxonomy.Mechanisms() {
+		pack, err := scenario.PackForMechanism(m.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range m.Mitigates {
+			e3 = append(e3, cfg.OptionsFor(k, none), cfg.OptionsFor(k, pack))
+		}
+	}
+	var e5 []scenario.Options
+	for _, power := range []float64{10, 20, 30, 40, 50} {
+		o := cfg.OptionsFor("jamming", none)
+		o.JammerPowerDBm = power
+		e5 = append(e5, o)
+	}
+	want := []struct {
+		name string
+		runs int
+		opts []scenario.Options
+	}{
+		{"E2-tableII", 10, e2},  // baseline + 9 attacks
+		{"E3-tableIII", 36, e3}, // 18 claimed cells × (undefended + defended)
+		{"E5-jamming", 5, e5},   // 10..50 dBm
+	}
+	if len(wls) != len(want) {
+		t.Fatalf("got %d workloads, want %d", len(wls), len(want))
+	}
+	for i, w := range want {
+		wl := wls[i]
+		if wl.Name != w.name || len(wl.Opts) != w.runs {
+			t.Errorf("workload %d is %s with %d runs, want %s with %d", i, wl.Name, len(wl.Opts), w.name, w.runs)
+			continue
+		}
+		if !reflect.DeepEqual(wl.Opts, w.opts) {
+			t.Errorf("workload %s runs differ from the baselined run list", wl.Name)
 		}
 	}
 }

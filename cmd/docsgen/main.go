@@ -1,13 +1,17 @@
-// Command docsgen regenerates the attack/defense reference under
-// docs/: an index plus one page per Table II attack and per Table III
-// defense mechanism, combining the taxonomy registry with measured
-// reproduction numbers from the lab. Output is deterministic in the
-// flags, so CI can require `make docs` to be a no-op on every PR.
+// Command docsgen regenerates every generated document from one
+// measurement of the paper's tables: the rendered Tables I–III and
+// risk matrix (docs_tables_output.txt, written next to the reference
+// tree) and the attack/defense reference under docs/, an index plus
+// one page per Table II attack and per Table III defense mechanism
+// that combines the taxonomy registry with the measured reproduction
+// numbers. Output is deterministic in the flags, so CI can require
+// `make docs` to be a no-op on every PR.
 //
 //	docsgen [-out DIR] [-quick] [-seed N]
 //	docsgen -check-links PATH ...
 //
 //	-out DIR         write the reference tree under DIR (default docs)
+//	                 and the tables transcript beside it
 //	-quick           shorter measurement runs (40 s, 6 vehicles)
 //	-seed N          random seed for the measurement runs (default 1)
 //	-check-links     do not generate; instead scan the given markdown
@@ -79,37 +83,39 @@ func run(args []string, errw io.Writer) error {
 		return err
 	}
 	//platoonvet:allow errcheck -- stderr progress note; the pages are already on disk
-	fmt.Fprintf(errw, "docsgen: wrote %d pages under %s\n", len(pages), *outDir)
+	fmt.Fprintf(errw, "docsgen: wrote %d files: the reference under %s and the tables transcript beside it\n", len(pages), *outDir)
 	return nil
 }
 
-// generate builds the full reference tree, keyed by path relative to
-// the docs root. Page bytes are deterministic in cfg: the registry is
-// in paper order and measured cells are looked up by key, never by map
-// iteration.
+// transcript is the tables transcript's path relative to the docs
+// root: beside the tree, where the index page links it.
+const transcript = "../docs_tables_output.txt"
+
+// generate measures the paper plan once and renders every generated
+// document from it, keyed by path relative to the docs root: the
+// reference tree and the tables transcript. Bytes are deterministic in
+// cfg: the registry is in paper order and measured cells are looked up
+// by key, never by map iteration.
 func generate(cfg lab.Config) (map[string][]byte, error) {
 	// Span tracing rides along so every attack page can quote the
 	// measured causal chain from injection to platoon effect.
 	cfg.Spans = true
-	outcomes, err := lab.MeasureTableII(cfg)
-	if err != nil {
-		return nil, err
-	}
-	cells, err := lab.MeasureTableIII(cfg)
+	t, err := lab.Measure(cfg, lab.PaperPlan(), 0)
 	if err != nil {
 		return nil, err
 	}
 	pages := make(map[string][]byte)
-	pages["README.md"] = indexPage(cfg, outcomes)
+	pages["README.md"] = indexPage(cfg, t.Outcomes)
 	for _, a := range taxonomy.Attacks() {
-		pages["attacks/"+a.Key+".md"] = attackPage(a, outcomes[a.Key], cells)
+		pages["attacks/"+a.Key+".md"] = attackPage(a, t.Outcomes[a.Key], t.Cells)
 	}
 	for _, m := range taxonomy.Mechanisms() {
-		pages["defenses/"+m.Key+".md"] = mechanismPage(m, cells)
+		pages["defenses/"+m.Key+".md"] = mechanismPage(m, t.Cells)
 	}
 	for path, page := range apiPages() {
 		pages[path] = page
 	}
+	pages[transcript] = renderTables(t)
 	return pages, nil
 }
 
@@ -160,7 +166,7 @@ func indexPage(cfg lab.Config, outcomes map[string]*lab.AttackOutcome) []byte {
 	return []byte(b.String())
 }
 
-func attackPage(a taxonomy.AttackClass, o *lab.AttackOutcome, cells map[string]*lab.Cell) []byte {
+func attackPage(a taxonomy.AttackClass, o *lab.AttackOutcome, cells map[lab.Pair]*lab.Cell) []byte {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# %s\n\n", a.Title)
 	fmt.Fprintf(&b, "%s\n\n", genNote)
@@ -223,7 +229,7 @@ func attackPage(a taxonomy.AttackClass, o *lab.AttackOutcome, cells map[string]*
 	fmt.Fprintf(&b, "| Mechanism | Measured verdict | Note |\n")
 	fmt.Fprintf(&b, "|---|---|---|\n")
 	for _, m := range taxonomy.Mechanisms() {
-		cell := cells[m.Key+"/"+a.Key]
+		cell := cells[lab.Pair{Attack: a.Key, Mechanism: m.Key}]
 		if cell == nil {
 			continue
 		}
@@ -234,7 +240,7 @@ func attackPage(a taxonomy.AttackClass, o *lab.AttackOutcome, cells map[string]*
 	return []byte(b.String())
 }
 
-func mechanismPage(m taxonomy.Mechanism, cells map[string]*lab.Cell) []byte {
+func mechanismPage(m taxonomy.Mechanism, cells map[lab.Pair]*lab.Cell) []byte {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# %s\n\n", m.Title)
 	fmt.Fprintf(&b, "%s\n\n", genNote)
@@ -245,7 +251,7 @@ func mechanismPage(m taxonomy.Mechanism, cells map[string]*lab.Cell) []byte {
 	fmt.Fprintf(&b, "| Attack | Measured verdict | Note |\n")
 	fmt.Fprintf(&b, "|---|---|---|\n")
 	for _, key := range m.Mitigates {
-		cell := cells[m.Key+"/"+key]
+		cell := cells[lab.Pair{Attack: key, Mechanism: m.Key}]
 		if cell == nil {
 			continue
 		}

@@ -1,7 +1,8 @@
 // Package lab runs the paper-reproduction experiments: it sweeps the
 // attack suite against the defense mechanisms and reduces each run to
-// the verdicts the paper's tables state qualitatively. cmd/tables,
-// cmd/attacklab and the root bench harness all build on it.
+// the verdicts the paper's tables state qualitatively. Every driver
+// (cmd/docsgen, cmd/attacklab, cmd/bench and the root benchmarks)
+// declares its experiments as one Plan and measures it with Measure.
 package lab
 
 import (
@@ -37,8 +38,11 @@ func DefaultConfig() Config {
 	return Config{Seed: 1, Duration: 60 * sim.Second, Vehicles: 8}
 }
 
-// options builds the scenario options for one (attack, defense) cell.
-func (c Config) options(attackKey string, pack scenario.DefensePack) scenario.Options {
+// OptionsFor builds the scenario options for one (attack, defense)
+// cell, including the attack-specific quirks (joiner timing, roster
+// headroom). Plan runs are built here; harnesses that batch lab cells
+// themselves, like perfbench, call it directly.
+func (c Config) OptionsFor(attackKey string, pack scenario.DefensePack) scenario.Options {
 	o := scenario.DefaultOptions()
 	o.Seed = c.Seed
 	o.Duration = c.Duration
@@ -62,14 +66,6 @@ func (c Config) options(attackKey string, pack scenario.DefensePack) scenario.Op
 	return o
 }
 
-// OptionsFor exposes the per-cell scenario options — including the
-// attack-specific quirks (joiner timing, roster headroom) — for
-// harnesses like cmd/bench that batch lab workloads through the
-// experiment engine directly.
-func (c Config) OptionsFor(attackKey string, pack scenario.DefensePack) scenario.Options {
-	return c.options(attackKey, pack)
-}
-
 // AttackOutcome is one measured Table II row.
 type AttackOutcome struct {
 	Attack   taxonomy.AttackClass
@@ -82,27 +78,6 @@ type AttackOutcome struct {
 	// PropertyHeld reports whether the measured impact lands on the
 	// property the paper says the attack compromises.
 	PropertyHeld bool
-}
-
-// MeasureTableII runs every Table II attack against an undefended
-// platoon plus one baseline, returning outcomes keyed by attack key.
-func MeasureTableII(c Config) (map[string]*AttackOutcome, error) {
-	baseline, err := scenario.Run(c.options("", scenario.DefensePack{}))
-	if err != nil {
-		return nil, fmt.Errorf("lab: baseline: %w", err)
-	}
-	out := make(map[string]*AttackOutcome)
-	for _, a := range taxonomy.Attacks() {
-		r, err := scenario.Run(c.options(a.Key, scenario.DefensePack{}))
-		if err != nil {
-			return nil, fmt.Errorf("lab: attack %s: %w", a.Key, err)
-		}
-		o := &AttackOutcome{Attack: a, Baseline: baseline, Attacked: r}
-		o.Evidence = evidenceFrom(r)
-		o.Summary, o.PropertyHeld = summarize(a, baseline, r)
-		out[a.Key] = o
-	}
-	return out, nil
 }
 
 // evidenceFrom reduces a run to risk evidence.
@@ -183,32 +158,6 @@ type Cell struct {
 	Claimed bool
 }
 
-// MeasureCell runs one attack × mechanism pairing.
-func MeasureCell(c Config, attackKey, mechKey string) (*Cell, error) {
-	pack, err := scenario.PackForMechanism(mechKey)
-	if err != nil {
-		return nil, err
-	}
-	undef, err := scenario.Run(c.options(attackKey, scenario.DefensePack{}))
-	if err != nil {
-		return nil, fmt.Errorf("lab: %s undefended: %w", attackKey, err)
-	}
-	def, err := scenario.Run(c.options(attackKey, pack))
-	if err != nil {
-		return nil, fmt.Errorf("lab: %s vs %s: %w", attackKey, mechKey, err)
-	}
-	cell := &Cell{AttackKey: attackKey, MechanismKey: mechKey, Undefended: undef, Defended: def}
-	cell.Mitigated, cell.Note = verdict(attackKey, undef, def)
-	if m, ok := taxonomy.MechanismByKey(mechKey); ok {
-		for _, k := range m.Mitigates {
-			if k == attackKey {
-				cell.Claimed = true
-			}
-		}
-	}
-	return cell, nil
-}
-
 // verdict decides mitigation per attack-specific criteria. "Mitigated"
 // means the attack's headline impact is removed or the offenders are
 // reliably detected (the paper's control-algorithm mechanisms "can only
@@ -234,7 +183,7 @@ func verdict(attackKey string, undef, def *scenario.Result) (bool, string) {
 		}
 		return false, fmt.Sprintf("%d members still ejected", def.VictimsEjected)
 	case "replay":
-		if def.MaxSpacingErr <= maxf(2.5, undef.MaxSpacingErr*0.5) {
+		if def.MaxSpacingErr <= max(2.5, undef.MaxSpacingErr*0.5) {
 			return true, fmt.Sprintf("spacing error %.1fm vs %.1fm undefended",
 				def.MaxSpacingErr, undef.MaxSpacingErr)
 		}
@@ -265,7 +214,7 @@ func verdict(attackKey string, undef, def *scenario.Result) (bool, string) {
 		}
 		return false, "victim still ejected"
 	case "sensor-spoofing":
-		if def.MaxSpacingErr <= maxf(2.5, undef.MaxSpacingErr*0.7) {
+		if def.MaxSpacingErr <= max(2.5, undef.MaxSpacingErr*0.7) {
 			return true, fmt.Sprintf("spacing error %.1fm vs %.1fm undefended",
 				def.MaxSpacingErr, undef.MaxSpacingErr)
 		}
@@ -274,7 +223,7 @@ func verdict(attackKey string, undef, def *scenario.Result) (bool, string) {
 		}
 		return false, fmt.Sprintf("spacing error still %.1fm", def.MaxSpacingErr)
 	case "malware":
-		if def.MaxSpacingErr <= maxf(2.5, undef.MaxSpacingErr*0.7) {
+		if def.MaxSpacingErr <= max(2.5, undef.MaxSpacingErr*0.7) {
 			return true, fmt.Sprintf("spacing error %.1fm vs %.1fm undefended",
 				def.MaxSpacingErr, undef.MaxSpacingErr)
 		}
@@ -285,29 +234,6 @@ func verdict(attackKey string, undef, def *scenario.Result) (bool, string) {
 	default:
 		return false, "unknown attack"
 	}
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// MeasureTableIII sweeps the paper's claimed (mechanism → attack)
-// pairings and returns the cells, keyed "mech/attack".
-func MeasureTableIII(c Config) (map[string]*Cell, error) {
-	out := make(map[string]*Cell)
-	for _, m := range taxonomy.Mechanisms() {
-		for _, attackKey := range m.Mitigates {
-			cell, err := MeasureCell(c, attackKey, m.Key)
-			if err != nil {
-				return nil, err
-			}
-			out[m.Key+"/"+attackKey] = cell
-		}
-	}
-	return out, nil
 }
 
 // RiskEvidence converts Table II outcomes to the risk-matrix input.

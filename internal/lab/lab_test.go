@@ -2,6 +2,7 @@ package lab
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"platoonsec/internal/risk"
@@ -15,14 +16,30 @@ func quick() Config {
 	return Config{Seed: 1, Duration: 40 * sim.Second, Vehicles: 6}
 }
 
-func TestMeasureTableIIAllPropertiesHold(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full table sweep")
-	}
-	outcomes, err := MeasureTableII(quick())
+// quickPlan is the one plan the package's tests share: the paper's
+// tables plus the unclaimed keys × jamming cell.
+func quickPlan() Plan {
+	p := PaperPlan()
+	p.Cells = append(p.Cells, Pair{Attack: "jamming", Mechanism: "keys"})
+	return p
+}
+
+var quickMeasured = sync.OnceValues(func() (*Tables, error) {
+	return Measure(quick(), quickPlan(), 0)
+})
+
+// measured returns the test binary's single measurement of quickPlan.
+func measured(t *testing.T) *Tables {
+	t.Helper()
+	tables, err := quickMeasured()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tables
+}
+
+func TestMeasureTableIIAllPropertiesHold(t *testing.T) {
+	outcomes := measured(t).Outcomes
 	if len(outcomes) != len(taxonomy.Attacks()) {
 		t.Fatalf("outcomes = %d, want %d", len(outcomes), len(taxonomy.Attacks()))
 	}
@@ -40,10 +57,7 @@ func TestMeasureTableIIAllPropertiesHold(t *testing.T) {
 }
 
 func TestMeasureCellKeysVsFakeManeuver(t *testing.T) {
-	cell, err := MeasureCell(quick(), "fake-maneuver", "keys")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cell := measured(t).Cells[Pair{Attack: "fake-maneuver", Mechanism: "keys"}]
 	if !cell.Claimed {
 		t.Fatal("paper claims keys mitigate fake maneuvers")
 	}
@@ -56,10 +70,7 @@ func TestMeasureCellKeysVsFakeManeuver(t *testing.T) {
 }
 
 func TestMeasureCellKeysDoNotStopJamming(t *testing.T) {
-	cell, err := MeasureCell(quick(), "jamming", "keys")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cell := measured(t).Cells[Pair{Attack: "jamming", Mechanism: "keys"}]
 	if cell.Claimed {
 		t.Fatal("paper does not claim keys stop jamming")
 	}
@@ -69,10 +80,7 @@ func TestMeasureCellKeysDoNotStopJamming(t *testing.T) {
 }
 
 func TestMeasureCellHybridVsJamming(t *testing.T) {
-	cell, err := MeasureCell(quick(), "jamming", "hybrid-comms")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cell := measured(t).Cells[Pair{Attack: "jamming", Mechanism: "hybrid-comms"}]
 	if !cell.Claimed || !cell.Mitigated {
 		t.Fatalf("SP-VLC vs jamming: claimed=%v mitigated=%v (%s)",
 			cell.Claimed, cell.Mitigated, cell.Note)
@@ -80,32 +88,30 @@ func TestMeasureCellHybridVsJamming(t *testing.T) {
 }
 
 func TestMeasureCellUnknownMechanism(t *testing.T) {
-	if _, err := MeasureCell(quick(), "jamming", "prayer"); err == nil {
+	if _, err := Measure(quick(), Plan{Cells: []Pair{{Attack: "jamming", Mechanism: "prayer"}}}, 0); err == nil {
 		t.Fatal("unknown mechanism accepted")
 	}
 }
 
 func TestMeasureTableIIIAllClaimedCellsMitigated(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full defense matrix sweep")
-	}
-	cells, err := MeasureTableIII(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cells := measured(t).Cells
 	claimed := 0
 	for _, m := range taxonomy.Mechanisms() {
 		claimed += len(m.Mitigates)
 	}
-	if len(cells) != claimed {
-		t.Fatalf("cells = %d, want %d claimed pairings", len(cells), claimed)
+	if n := len(ClaimedCells()); n != claimed {
+		t.Fatalf("ClaimedCells = %d, want %d claimed pairings", n, claimed)
 	}
-	for key, cell := range cells {
+	if len(cells) != claimed+1 {
+		t.Fatalf("cells = %d, want %d claimed pairings plus keys × jamming", len(cells), claimed+1)
+	}
+	for _, pc := range ClaimedCells() {
+		cell := cells[pc]
 		if !cell.Claimed {
-			t.Errorf("%s: swept but not claimed?", key)
+			t.Errorf("%s/%s: swept but not claimed?", pc.Mechanism, pc.Attack)
 		}
 		if !cell.Mitigated {
-			t.Errorf("%s: paper's mitigation claim NOT reproduced: %s", key, cell.Note)
+			t.Errorf("%s/%s: paper's mitigation claim NOT reproduced: %s", pc.Mechanism, pc.Attack, cell.Note)
 		}
 	}
 }
@@ -118,13 +124,7 @@ func TestDefaultConfig(t *testing.T) {
 }
 
 func TestRiskEvidenceAndMatrix(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full table sweep")
-	}
-	outcomes, err := MeasureTableII(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	outcomes := measured(t).Outcomes
 	ev := RiskEvidence(outcomes)
 	if len(ev) != len(outcomes) {
 		t.Fatalf("evidence entries = %d", len(ev))

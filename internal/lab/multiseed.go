@@ -68,7 +68,7 @@ func MeasureAcrossSeeds(c Config, seeds []int64, attackKey string, pack scenario
 	}
 	optsList := make([]scenario.Options, len(seeds))
 	for i, seed := range seeds {
-		o := c.options(attackKey, pack)
+		o := c.OptionsFor(attackKey, pack)
 		o.Seed = seed
 		optsList[i] = o
 	}

@@ -6,7 +6,8 @@
 // (equipment cost, required foothold); impact derives from *measured*
 // simulation outcomes when available (collisions, disband time, privacy
 // leakage), falling back to the property-based heuristic otherwise.
-// The output is the risk matrix cmd/tables -risk prints.
+// The output is the risk matrix cmd/docsgen renders into
+// docs_tables_output.txt.
 package risk
 
 import (

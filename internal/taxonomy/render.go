@@ -22,7 +22,7 @@ func RenderTableI() string {
 
 // RenderTableII renders the attack-classes table as text. measured, if
 // non-nil, appends a per-attack measured-impact column keyed by attack
-// key (filled in from simulation by cmd/tables).
+// key (filled in from simulation by cmd/docsgen).
 func RenderTableII(measured map[string]string) string {
 	var b strings.Builder
 	b.WriteString("TABLE II — Threats to platoons and how each attack compromises the platoon\n")

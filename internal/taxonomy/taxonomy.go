@@ -2,9 +2,8 @@
 // survey tables: the security properties (§IV's cryptography-derived
 // classification), the platoon assets, the nine attack classes of
 // Table II, the seven related surveys of Table I, and the five defense
-// mechanism families of Table III. The cmd/tables binary and the bench
-// harness render and cross-check these structures against simulation
-// results.
+// mechanism families of Table III. cmd/docsgen and the bench harness
+// render and cross-check these structures against simulation results.
 package taxonomy
 
 import "fmt"
