@@ -92,8 +92,9 @@ microbench:
 microbench-hot:
 	go test -bench=. -benchmem -run=^$$ ./internal/message ./internal/phy ./internal/mac
 
-## fuzz-smoke runs each message-codec, decoder-agreement, session-cipher
-## and world-handoff-codec fuzz target briefly.
+## fuzz-smoke runs each message-codec, decoder-agreement, session-cipher,
+## world-handoff-codec, spill-reader and request-normalisation fuzz
+## target briefly.
 fuzz-smoke:
 	go test -run=^$$ -fuzz=FuzzDecodeBeacon -fuzztime=10s ./internal/message
 	go test -run=^$$ -fuzz=FuzzDecodeManeuver -fuzztime=10s ./internal/message
@@ -103,6 +104,8 @@ fuzz-smoke:
 	go test -run=^$$ -fuzz=FuzzSessionOpen -fuzztime=10s ./internal/security
 	go test -run=^$$ -fuzz=FuzzDecodeWorldFrame -fuzztime=10s ./internal/world
 	go test -run=^$$ -fuzz=FuzzDecodeWorldMigration -fuzztime=10s ./internal/world
+	go test -run=^$$ -fuzz=FuzzReadSpill -fuzztime=10s ./internal/service
+	go test -run=^$$ -fuzz=FuzzNormalizeRequest -fuzztime=10s ./internal/service
 
 ## docs regenerates every generated document from one measurement:
 ## the rendered paper tables (docs_tables_output.txt) and the

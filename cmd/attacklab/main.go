@@ -27,8 +27,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"platoonsec/internal/engine"
 	"platoonsec/internal/lab"
@@ -39,14 +41,17 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "attacklab:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) (err error) {
+// run parses args, sweeps the grid and prints it to stdout; -v cell
+// details, -stats, -obs and flag errors go to stderr.
+func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("attacklab", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	quick := fs.Bool("quick", false, "shorter runs")
 	seed := fs.Int64("seed", 1, "random seed")
 	onlyAttack := fs.String("attack", "", "restrict to one attack key")
@@ -110,59 +115,73 @@ func run(args []string) (err error) {
 		}
 	}
 
-	fmt.Printf("%-18s", "attack \\ mech")
+	var grid, diag strings.Builder
+	fmt.Fprintf(&grid, "%-18s", "attack \\ mech")
 	for _, m := range mechs {
-		fmt.Printf(" %-20s", m.Key)
+		fmt.Fprintf(&grid, " %-20s", m.Key)
 	}
-	fmt.Println()
+	fmt.Fprintln(&grid)
 
 	agree, total := 0, 0
 	for _, a := range attacks {
 		if *onlyAttack != "" && a.Key != *onlyAttack {
 			continue
 		}
-		fmt.Printf("%-18s", a.Key)
+		fmt.Fprintf(&grid, "%-18s", a.Key)
 		for _, m := range mechs {
 			cell, ok := cells[lab.Pair{Attack: a.Key, Mechanism: m.Key}]
 			if !ok {
-				fmt.Printf(" %-20s", "-")
+				fmt.Fprintf(&grid, " %-20s", "-")
 				continue
 			}
-			fmt.Printf(" %-20s", cellMark(cell))
+			fmt.Fprintf(&grid, " %-20s", cellMark(cell))
 			total++
 			if cell.Mitigated == cell.Claimed {
 				agree++
 			}
 			if *verbose {
-				fmt.Fprintf(os.Stderr, "  %s × %s: claimed=%v measured=%v — %s\n",
+				fmt.Fprintf(&diag, "  %s × %s: claimed=%v measured=%v — %s\n",
 					a.Key, m.Key, cell.Claimed, cell.Mitigated, cell.Note)
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(&grid)
 	}
-	fmt.Printf("\nagreement with paper's Table III claims: %d/%d cells\n", agree, total)
-	fmt.Println("legend: ✓✓ claimed & mitigated   ·· unclaimed & not mitigated")
-	fmt.Println("        ✗C claimed but NOT mitigated   +U mitigated beyond claim")
+	fmt.Fprintf(&grid, "\nagreement with paper's Table III claims: %d/%d cells\n", agree, total)
+	fmt.Fprintln(&grid, "legend: ✓✓ claimed & mitigated   ·· unclaimed & not mitigated")
+	fmt.Fprintln(&grid, "        ✗C claimed but NOT mitigated   +U mitigated beyond claim")
+	if err := flush(stdout, &grid); err != nil {
+		return err
+	}
+	if err := flush(stderr, &diag); err != nil {
+		return err
+	}
 	if *forensicsFile != "" {
 		if werr := writeForensics(*forensicsFile, pairs, cells); werr != nil {
 			return werr
 		}
 	}
 	if *stats {
-		fmt.Fprintln(os.Stderr, "engine:", tables.Telemetry.String())
+		fmt.Fprintln(&diag, "engine:", tables.Telemetry.String())
 	}
 	if counters := cellCounters(pairs, cells); *obsOn && len(counters) > 0 {
-		fmt.Fprintln(os.Stderr, "obs counters (all cells):")
+		fmt.Fprintln(&diag, "obs counters (all cells):")
 		names := make([]string, 0, len(counters))
 		for name := range counters {
 			names = append(names, name)
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			fmt.Fprintf(os.Stderr, "  %-22s %d\n", name, counters[name])
+			fmt.Fprintf(&diag, "  %-22s %d\n", name, counters[name])
 		}
 	}
-	return nil
+	return flush(stderr, &diag)
+}
+
+// flush writes what b holds to w and empties b.
+func flush(w io.Writer, b *strings.Builder) error {
+	_, err := io.WriteString(w, b.String())
+	b.Reset()
+	return err
 }
 
 // cellCounters sums the flight-recorder counters of each cell's two

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,18 +12,66 @@ import (
 	"platoonsec/internal/sim"
 )
 
+// gridLegend closes every grid printout.
+const gridLegend = "legend: ✓✓ claimed & mitigated   ·· unclaimed & not mitigated\n" +
+	"        ✗C claimed but NOT mitigated   +U mitigated beyond claim\n"
+
+// gridHeader is the printout's column header over every mechanism.
+const gridHeader = "attack \\ mech      keys                 rsu                  control-algorithms   hybrid-comms         onboard             \n"
+
+// runOut runs attacklab with args and returns its stdout and stderr.
+func runOut(t *testing.T, args ...string) (string, string) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	if err := run(args, &stdout, &stderr); err != nil {
+		t.Fatalf("run %v: %v\nstderr: %s", args, err, stderr.String())
+	}
+	return stdout.String(), stderr.String()
+}
+
+// TestRunSingleCell pins the printout of one quick cell, filtered-out
+// cells and -v details included, byte for byte.
 func TestRunSingleCell(t *testing.T) {
-	// One quick cell keeps the test fast while exercising the grid
-	// printer end to end.
-	err := run([]string{"-quick", "-attack", "jamming", "-mech", "hybrid-comms"})
-	if err != nil {
-		t.Fatalf("run: %v", err)
+	stdout, stderr := runOut(t, "-quick", "-attack", "jamming", "-mech", "hybrid-comms", "-v")
+	wantOut := gridHeader +
+		"jamming            -                    -                    -                    ✓✓                   -                   \n" +
+		"\nagreement with paper's Table III claims: 1/1 cells\n" + gridLegend
+	wantErr := "  jamming × hybrid-comms: claimed=true measured=true — platoon holds (disbanded 0% vs 68%)\n"
+	if stdout != wantOut {
+		t.Errorf("stdout:\n%s\nwant:\n%s", stdout, wantOut)
+	}
+	if stderr != wantErr {
+		t.Errorf("stderr:\n%s\nwant:\n%s", stderr, wantErr)
+	}
+}
+
+// TestGridPrintout pins the printout of a quick one-row sub-grid whose
+// cells take every mark but ✗C, and its -v details, byte for byte.
+func TestGridPrintout(t *testing.T) {
+	stdout, stderr := runOut(t, "-quick", "-attack", "replay", "-v")
+	wantOut := gridHeader +
+		"replay             ✓✓                   +U                   ✓✓                   ✓✓                   ··                  \n" +
+		"\nagreement with paper's Table III claims: 4/5 cells\n" + gridLegend
+	wantErr := "  replay × keys: claimed=true measured=true — spacing error 1.1m vs 7.8m undefended\n" +
+		"  replay × rsu: claimed=false measured=true — spacing error 1.1m vs 7.8m undefended\n" +
+		"  replay × control-algorithms: claimed=true measured=true — spacing error 1.1m vs 7.8m undefended\n" +
+		"  replay × hybrid-comms: claimed=true measured=true — spacing error 1.0m vs 7.8m undefended\n" +
+		"  replay × onboard: claimed=false measured=false — spacing error still 7.0m\n"
+	if stdout != wantOut {
+		t.Errorf("stdout:\n%s\nwant:\n%s", stdout, wantOut)
+	}
+	if stderr != wantErr {
+		t.Errorf("stderr:\n%s\nwant:\n%s", stderr, wantErr)
 	}
 }
 
 func TestRunBadFlag(t *testing.T) {
-	if err := run([]string{"-notaflag"}); err == nil {
+	var stderr bytes.Buffer
+	if err := run([]string{"-notaflag"}, io.Discard, &stderr); err == nil {
 		t.Fatal("unknown flag accepted")
+	}
+	if !strings.Contains(stderr.String(), "flag provided but not defined: -notaflag") {
+		t.Errorf("flag error not reported on stderr: %q", stderr.String())
 	}
 }
 

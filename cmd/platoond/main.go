@@ -62,6 +62,19 @@ import (
 	"platoonsec/internal/service"
 )
 
+// Connection timeouts: a client has readHeaderTimeout to send its
+// request header and readTimeout to send the whole request (bodies are
+// at most 1 MiB of JSON), and an idle keep-alive connection is closed
+// after idleTimeout, so a stalled client cannot hold a connection and
+// its goroutine forever. There is no write timeout: a miss may run a
+// world simulation for longer than any bound that suits a read. They
+// are variables so the slow-client test can shorten them.
+var (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	if err := run(os.Args[1:], nil); err != nil {
 		fmt.Fprintln(os.Stderr, "platoond:", err)
@@ -128,17 +141,24 @@ func run(args []string, ready chan<- string) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+	// Serve until a termination signal, then drain in-flight requests.
+	// The handler is installed before the address is announced, so a
+	// signal sent once the server is ready always reaches it.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
 	fmt.Fprintln(os.Stderr, "platoond: serving on", ln.Addr())
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}
-
-	// Serve until a termination signal, then drain in-flight requests.
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		return err

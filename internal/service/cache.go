@@ -3,12 +3,14 @@ package service
 import (
 	"container/list"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 )
 
 // Entry is one cached run artifact: the canonical result bytes (exactly
@@ -54,8 +56,10 @@ const (
 // to an optional disk directory that is consulted on memory misses.
 // Because bodies are pure functions of their digest, eviction can
 // never serve a stale result — a spilled artifact re-admitted years
-// later is byte-identical to a fresh simulation. Safe for concurrent
-// use.
+// later is byte-identical to a fresh simulation. For the same reason
+// each digest is spilled once: an evicted entry whose artifact this
+// cache already wrote is dropped without touching the disk. Safe for
+// concurrent use.
 type Cache struct {
 	mu         sync.Mutex
 	maxEntries int
@@ -65,6 +69,15 @@ type Cache struct {
 	ll    *list.List // front = most recently used; values are *Entry
 	items map[string]*list.Element
 	bytes int64
+
+	// spilled maps every digest this cache has written to the spill
+	// directory to the bodySum it wrote. An entry goes in only after
+	// its write succeeds, and leaves when its file is found missing or
+	// removed as corrupt, so the next eviction writes it again.
+	spilled map[string][32]byte
+	// tmpSeq numbers temporary spill files, so two concurrent writes of
+	// one digest never share a temporary file.
+	tmpSeq atomic.Uint64
 
 	// accounting, read through Stats.
 	evictions    uint64
@@ -82,6 +95,7 @@ func NewCache(maxEntries int, maxBytes int64, spillDir string) *Cache {
 		spillDir:   spillDir,
 		ll:         list.New(),
 		items:      make(map[string]*list.Element),
+		spilled:    make(map[string][32]byte),
 	}
 }
 
@@ -93,9 +107,10 @@ type CacheStats struct {
 	SpillWrites uint64
 	SpillErrors uint64
 	// SpillCorrupt counts spill artifacts rejected on read-back
-	// (truncated file, digest claim mismatch, or content bytes that
-	// do not hash to the content address). Each one degrades to a
-	// cache miss — a fresh run — never an error.
+	// (unparseable or truncated file, another format version, digest
+	// claim mismatch, request bytes that do not hash to the digest, or
+	// a body that fails its checksum). Each one degrades to a cache
+	// miss — a fresh run — never an error.
 	SpillCorrupt uint64
 }
 
@@ -133,8 +148,9 @@ func (c *Cache) Get(digest string) (*Entry, Source) {
 }
 
 // Put admits an entry, evicting least-recently-used entries past the
-// bounds (always keeping at least the new entry). Evicted artifacts
-// are spill-written when a spill directory is configured.
+// bounds (always keeping at least the new entry). When a spill
+// directory is configured, an evicted artifact is written to it unless
+// this cache has already written that digest.
 func (c *Cache) Put(e *Entry) {
 	c.mu.Lock()
 	var spill []*Entry
@@ -153,7 +169,7 @@ func (c *Cache) Put(e *Entry) {
 		delete(c.items, victim.Digest)
 		c.bytes -= victim.size()
 		c.evictions++
-		if c.spillDir != "" {
+		if _, done := c.spilled[victim.Digest]; c.spillDir != "" && !done {
 			spill = append(spill, victim)
 		}
 	}
@@ -170,41 +186,82 @@ func (c *Cache) spillPath(digest string) string {
 	return filepath.Join(c.spillDir, digest+".json")
 }
 
-// writeSpill persists an evicted artifact (atomic write-then-rename so
-// a concurrent reader never sees a torn file). Spill failures are
-// counted, not fatal: the cache degrades to memory-only.
+// spillVersion is the spill artifact format generation. readSpill
+// rejects every other version, so an artifact from an older build
+// (which carried no body checksum) reads as a corrupt miss and is
+// replaced by the next eviction of a fresh run.
+const spillVersion = 2
+
+// spillArtifact is the on-disk form of an evicted Entry: the format
+// version, the hex bodySum of the entry, and the entry's own fields.
+type spillArtifact struct {
+	Version int    `json:"spill_version"`
+	BodySum string `json:"body_sha256"`
+	Entry
+}
+
+// bodySum is the SHA-256 over what an artifact serves: the result body
+// and the event stream. The body's length goes first, so no byte can
+// move from one to the other without changing the sum.
+func bodySum(e *Entry) [32]byte {
+	h := sha256.New()
+	var n [8]byte
+	binary.BigEndian.PutUint64(n[:], uint64(len(e.Body)))
+	h.Write(n[:])
+	h.Write(e.Body)
+	h.Write([]byte(e.Events))
+	var sum [32]byte
+	h.Sum(sum[:0])
+	return sum
+}
+
+// writeSpill persists an evicted artifact (write a temporary file,
+// then rename, so a concurrent reader never sees a torn file) and
+// records its digest as spilled. Spill failures are counted, not
+// fatal: the cache degrades to memory-only.
 func (c *Cache) writeSpill(e *Entry) {
+	sum := bodySum(e)
 	err := func() error {
 		if err := os.MkdirAll(c.spillDir, 0o755); err != nil {
 			return err
 		}
-		b, err := json.Marshal(e)
+		b, err := json.Marshal(&spillArtifact{Version: spillVersion, BodySum: hex.EncodeToString(sum[:]), Entry: *e})
 		if err != nil {
 			return err
 		}
-		tmp := c.spillPath(e.Digest) + ".tmp"
-		if err := os.WriteFile(tmp, b, 0o644); err != nil {
-			return err
+		tmp := fmt.Sprintf("%s.%d.tmp", c.spillPath(e.Digest), c.tmpSeq.Add(1))
+		err = os.WriteFile(tmp, b, 0o644)
+		if err == nil {
+			err = os.Rename(tmp, c.spillPath(e.Digest))
 		}
-		return os.Rename(tmp, c.spillPath(e.Digest))
+		if err != nil {
+			//platoonvet:allow errcheck -- best-effort cleanup of a failed write; the write error is what gets counted
+			os.Remove(tmp)
+		}
+		return err
 	}()
 	c.mu.Lock()
 	if err != nil {
 		c.spillErrs++
 	} else {
 		c.spillWrites++
+		c.spilled[e.Digest] = sum
 	}
 	c.mu.Unlock()
 }
 
-// readSpill loads a spilled artifact, verifying the content address
-// before trusting it: the file must parse, claim the requested
-// digest, AND carry request bytes that actually hash to it — the
-// full content-address check, so a truncated or tampered artifact
-// can never serve. A corrupt artifact is counted, removed
-// best-effort, and reported as a plain miss: the caller falls
-// through to a fresh engine run, which is always safe because the
-// digest is a perfect memoization key.
+// readSpill loads a spilled artifact and verifies all of it before
+// trusting it: the file must parse as the current format version,
+// claim the requested digest, carry request bytes that SHA-256 to that
+// digest, and carry a result body and event stream that match its
+// body checksum. For a digest this cache wrote itself, the checksum
+// must also equal the one recorded at write time, so a file rewritten
+// after the write never serves, even with a consistent checksum. A
+// corrupt artifact is counted, removed best-effort, and reported as a
+// plain miss: the caller falls through to a fresh engine run, which is
+// always safe because the digest is a perfect memoization key. A
+// missing file is a plain miss too, and drops the digest from the
+// spilled set so its next eviction writes it again.
 func (c *Cache) readSpill(digest string) (*Entry, error) {
 	if c.spillDir == "" {
 		return nil, nil
@@ -212,29 +269,46 @@ func (c *Cache) readSpill(digest string) (*Entry, error) {
 	b, err := os.ReadFile(c.spillPath(digest))
 	if err != nil {
 		if os.IsNotExist(err) {
+			c.mu.Lock()
+			delete(c.spilled, digest)
+			c.mu.Unlock()
 			return nil, nil
 		}
 		return nil, err
 	}
-	var e Entry
-	if err := json.Unmarshal(b, &e); err != nil {
+	var a spillArtifact
+	if err := json.Unmarshal(b, &a); err != nil {
 		return nil, c.corrupt(digest, fmt.Errorf("service: corrupt spill artifact %s: %w", digest, err))
 	}
-	if e.Digest != digest {
-		return nil, c.corrupt(digest, fmt.Errorf("service: spill artifact %s claims digest %s", digest, e.Digest))
+	if a.Version != spillVersion {
+		return nil, c.corrupt(digest, fmt.Errorf("service: spill artifact %s has format version %d, want %d", digest, a.Version, spillVersion))
 	}
-	sum := sha256.Sum256(e.Request)
-	if hex.EncodeToString(sum[:]) != digest {
-		return nil, c.corrupt(digest, fmt.Errorf("service: spill artifact %s fails content-address verification", digest))
+	if a.Digest != digest {
+		return nil, c.corrupt(digest, fmt.Errorf("service: spill artifact %s claims digest %s", digest, a.Digest))
 	}
-	return &e, nil
+	if sum := sha256.Sum256(a.Request); hex.EncodeToString(sum[:]) != digest {
+		return nil, c.corrupt(digest, fmt.Errorf("service: spill artifact %s: request does not hash to the digest", digest))
+	}
+	sum := bodySum(&a.Entry)
+	if hex.EncodeToString(sum[:]) != a.BodySum {
+		return nil, c.corrupt(digest, fmt.Errorf("service: spill artifact %s: body fails its checksum", digest))
+	}
+	c.mu.Lock()
+	wrote, ok := c.spilled[digest]
+	c.mu.Unlock()
+	if ok && wrote != sum {
+		return nil, c.corrupt(digest, fmt.Errorf("service: spill artifact %s differs from the one this cache wrote", digest))
+	}
+	return &a.Entry, nil
 }
 
 // corrupt accounts one rejected spill artifact and removes the file
-// best-effort so the corruption is not re-parsed on every lookup.
+// best-effort so the corruption is not re-parsed on every lookup. The
+// digest leaves the spilled set, so its next eviction writes it again.
 func (c *Cache) corrupt(digest string, err error) error {
 	c.mu.Lock()
 	c.spillCorrupt++
+	delete(c.spilled, digest)
 	c.mu.Unlock()
 	//platoonvet:allow errcheck -- best-effort removal of an already-corrupt artifact; the lookup degrades to a miss either way
 	os.Remove(c.spillPath(digest))

@@ -150,6 +150,11 @@ func TestNormalizeRejections(t *testing.T) {
 		"unknown defense":         {Defense: []string{"forcefield"}},
 		"unknown schema":          {Schema: 99},
 		"negative duration":       {DurationSec: -1},
+		"duration under 1 ns":     {DurationSec: 1e-12},
+		"duration past the clock": {DurationSec: 1e10},
+		"attack past the clock":   {AttackStartSec: 1e300},
+		"joiner past the clock":   {WithJoiner: true, JoinerAtSec: 1e10},
+		"world epoch under 1 ns":  {World: &WorldRequest{EpochMS: 1e-9}},
 		"one vehicle":             {Vehicles: 1},
 		"joiner time sans joiner": {JoinerAtSec: 5},
 		"power sans jamming":      {Attack: "dos", JammerPowerDBm: 30},

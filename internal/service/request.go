@@ -113,6 +113,13 @@ var defenseFlags = []struct {
 	{"hardened", func(d *scenario.DefensePack) { d.HardenedOnboard = true }},
 }
 
+// maxSimSec bounds every time knob in seconds: the simulator's clock
+// counts int64 nanoseconds, which overflow at about 9.22e9 s. A time
+// that does not fit, or a duration or epoch that rounds to 0 ns, would
+// fail the run after the request was accepted or run another
+// experiment than asked, so Normalize rejects it.
+const maxSimSec = 9e9
+
 // worldAttackKeys are the attacks the world models.
 var worldAttackKeys = map[string]bool{"": true, "jamming": true, "sybil": true}
 
@@ -133,14 +140,14 @@ func (r *RunRequest) Normalize() error {
 	if r.DurationSec == 0 {
 		r.DurationSec = 60
 	}
-	if r.DurationSec <= 0 {
-		return fmt.Errorf("duration_sec must be positive, got %g", r.DurationSec)
+	if r.DurationSec <= 0 || r.DurationSec > maxSimSec || sim.FromSeconds(r.DurationSec) == 0 {
+		return fmt.Errorf("duration_sec must be between 1 ns and %g s, got %g", maxSimSec, r.DurationSec)
 	}
 	if r.AttackStartSec == 0 {
 		r.AttackStartSec = 10
 	}
-	if r.AttackStartSec < 0 {
-		return fmt.Errorf("attack_start_sec must be non-negative, got %g", r.AttackStartSec)
+	if r.AttackStartSec < 0 || r.AttackStartSec > maxSimSec {
+		return fmt.Errorf("attack_start_sec must be in [0, %g], got %g", maxSimSec, r.AttackStartSec)
 	}
 
 	if r.World != nil {
@@ -168,8 +175,8 @@ func (r *RunRequest) Normalize() error {
 		if r.JoinerAtSec == 0 {
 			r.JoinerAtSec = 15
 		}
-		if r.JoinerAtSec < 0 {
-			return fmt.Errorf("joiner_at_sec must be non-negative, got %g", r.JoinerAtSec)
+		if r.JoinerAtSec < 0 || r.JoinerAtSec > maxSimSec {
+			return fmt.Errorf("joiner_at_sec must be in [0, %g], got %g", maxSimSec, r.JoinerAtSec)
 		}
 	} else if r.JoinerAtSec != 0 {
 		return fmt.Errorf("joiner_at_sec needs with_joiner")
@@ -258,8 +265,8 @@ func (r *RunRequest) normalizeWorld() error {
 	if w.EpochMS == 0 {
 		w.EpochMS = 100
 	}
-	if w.EpochMS <= 0 {
-		return fmt.Errorf("world.epoch_ms must be positive, got %g", w.EpochMS)
+	if w.EpochMS <= 0 || sim.FromSeconds(w.EpochMS/1000) == 0 {
+		return fmt.Errorf("world.epoch_ms must be at least 1 ns, got %g", w.EpochMS)
 	}
 	if r.DurationSec*1000 < w.EpochMS {
 		return fmt.Errorf("duration_sec %g must cover at least one epoch of %g ms", r.DurationSec, w.EpochMS)
