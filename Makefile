@@ -92,15 +92,17 @@ microbench:
 microbench-hot:
 	go test -bench=. -benchmem -run=^$$ ./internal/message ./internal/phy ./internal/mac
 
-## fuzz-smoke runs each message-codec, decoder-agreement, session-cipher,
-## world-handoff-codec, spill-reader and request-normalisation fuzz
-## target briefly.
+## fuzz-smoke runs each message-codec round-trip, peek-vs-decoder,
+## session-cipher, world-handoff-codec, spill-reader and
+## request-normalisation fuzz target briefly.
 fuzz-smoke:
 	go test -run=^$$ -fuzz=FuzzDecodeBeacon -fuzztime=10s ./internal/message
 	go test -run=^$$ -fuzz=FuzzDecodeManeuver -fuzztime=10s ./internal/message
 	go test -run=^$$ -fuzz=FuzzDecodeMembership -fuzztime=10s ./internal/message
-	go test -run=^$$ -fuzz=FuzzBeaconDecodersAgree -fuzztime=10s ./internal/message
-	go test -run=^$$ -fuzz=FuzzEnvelopeDecodersAgree -fuzztime=10s ./internal/message
+	go test -run=^$$ -fuzz=FuzzDecodeEnvelope -fuzztime=10s ./internal/message
+	go test -run=^$$ -fuzz=FuzzDecodeContextProof -fuzztime=10s ./internal/message
+	go test -run=^$$ -fuzz=FuzzPeekFreshness -fuzztime=10s ./internal/message
+	go test -run=^$$ -fuzz=FuzzPeekEnvelope -fuzztime=10s ./internal/message
 	go test -run=^$$ -fuzz=FuzzSessionOpen -fuzztime=10s ./internal/security
 	go test -run=^$$ -fuzz=FuzzDecodeWorldFrame -fuzztime=10s ./internal/world
 	go test -run=^$$ -fuzz=FuzzDecodeWorldMigration -fuzztime=10s ./internal/world

@@ -27,6 +27,7 @@ type Replay struct {
 	radio    *Radio
 	k        *sim.Kernel
 	captured [][]byte
+	rxEnv    message.Envelope // decode scratch for KindFilter
 	next     int
 	ticker   *sim.Ticker
 	started  bool
@@ -80,9 +81,8 @@ func (r *Replay) onRx(rx mac.Rx) {
 		return
 	}
 	if r.KindFilter != 0 {
-		env, err := message.UnmarshalEnvelope(rx.Payload)
-		if err == nil {
-			if kind, kerr := env.Kind(); kerr == nil && kind != r.KindFilter {
+		if message.DecodeEnvelope(rx.Payload, &r.rxEnv) == nil {
+			if kind, kerr := r.rxEnv.Kind(); kerr == nil && kind != r.KindFilter {
 				return
 			}
 		}

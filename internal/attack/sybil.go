@@ -38,6 +38,11 @@ type Sybil struct {
 	tickers []*sim.Ticker
 	started bool
 
+	// Decode scratch for onRx.
+	rxEnv message.Envelope
+	rxB   message.Beacon
+	rxM   message.Maneuver
+
 	// Admitted counts ghosts the leader accepted into the roster.
 	Admitted int
 }
@@ -101,8 +106,8 @@ func (s *Sybil) nextSeq() uint32 {
 //
 //platoonvet:taint-source -- ghost replies crafted from overheard platoon state (Table II sybil)
 func (s *Sybil) onRx(rx mac.Rx) {
-	env, err := message.UnmarshalEnvelope(rx.Payload)
-	if err != nil {
+	env := &s.rxEnv
+	if err := message.DecodeEnvelope(rx.Payload, env); err != nil {
 		return
 	}
 	kind, err := env.Kind()
@@ -111,8 +116,8 @@ func (s *Sybil) onRx(rx mac.Rx) {
 	}
 	switch kind {
 	case message.KindBeacon:
-		b, err := message.UnmarshalBeacon(env.Payload)
-		if err != nil || b.PlatoonID != s.PlatoonID {
+		b := &s.rxB
+		if err := message.DecodeBeacon(env.Payload, b); err != nil || b.PlatoonID != s.PlatoonID {
 			return
 		}
 		if s.isGhost(b.VehicleID) {
@@ -120,8 +125,8 @@ func (s *Sybil) onRx(rx mac.Rx) {
 		}
 		s.seen[b.VehicleID] = tailObs{pos: b.Position, speed: b.Speed, at: s.k.Now()}
 	case message.KindManeuver:
-		m, err := message.UnmarshalManeuver(env.Payload)
-		if err != nil || m.PlatoonID != s.PlatoonID {
+		m := &s.rxM
+		if err := message.DecodeManeuver(env.Payload, m); err != nil || m.PlatoonID != s.PlatoonID {
 			return
 		}
 		if m.Type == message.ManeuverJoinAccept && s.isGhost(m.TargetID) {

@@ -29,6 +29,8 @@ type ConvoyGate struct {
 	ProofWindow sim.Time
 
 	proven map[uint32]sim.Time
+	proof  message.ContextProof // decode scratch for the proof under Check
+	mv     message.Maneuver     // decode scratch for the maneuver under Check
 
 	// ProofsAccepted, ProofsRejected, JoinsDropped count outcomes.
 	ProofsAccepted, ProofsRejected, JoinsDropped uint64
@@ -56,8 +58,8 @@ func (g *ConvoyGate) Check(env *message.Envelope, _ mac.Rx, now sim.Time) error 
 	}
 	switch kind {
 	case message.KindContextProof:
-		proof, err := message.UnmarshalContextProof(env.Payload)
-		if err != nil || proof.VehicleID != env.SenderID {
+		proof := &g.proof
+		if err := message.DecodeContextProof(env.Payload, proof); err != nil || proof.VehicleID != env.SenderID {
 			return nil
 		}
 		samples := make([]ContextSample, len(proof.Samples))
@@ -72,8 +74,8 @@ func (g *ConvoyGate) Check(env *message.Envelope, _ mac.Rx, now sim.Time) error 
 		g.proven[proof.VehicleID] = now
 		return nil
 	case message.KindManeuver:
-		m, err := message.UnmarshalManeuver(env.Payload)
-		if err != nil {
+		m := &g.mv
+		if err := message.DecodeManeuver(env.Payload, m); err != nil {
 			return nil
 		}
 		if m.Type != message.ManeuverJoinRequest && m.Type != message.ManeuverJoinComplete {

@@ -327,8 +327,8 @@ func TestVPDADADetectsSybilGhosts(t *testing.T) {
 	tail := members[len(members)-1]
 	det := defense.NewVPDADA(tail.Vehicle(), w.GapSensor(tail.Vehicle()), w.RearGapSensor(tail.Vehicle()))
 	if err := w.Bus.Attach(800, func() float64 { return tail.Vehicle().State().Position }, 20, func(rx mac.Rx) {
-		env, err := message.UnmarshalEnvelope(rx.Payload)
-		if err != nil {
+		env := &message.Envelope{}
+		if err := message.DecodeEnvelope(rx.Payload, env); err != nil {
 			return
 		}
 		_ = det.Check(env, rx, w.K.Now())

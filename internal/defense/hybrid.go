@@ -180,7 +180,8 @@ type HybridFilter struct {
 
 	seen    map[[32]byte]sim.Time
 	optical map[uint32]opticalState
-	rx      message.Beacon // decode scratch for the beacon under Check
+	rx      message.Beacon   // decode scratch for the beacon under Check
+	mv      message.Maneuver // decode scratch for the maneuver under Check
 
 	// Dropped counts unconfirmed maneuvers rejected; Mismatched counts
 	// beacons contradicting optical state.
@@ -248,8 +249,8 @@ func (f *HybridFilter) Check(env *message.Envelope, _ mac.Rx, now sim.Time) erro
 	}
 	switch kind {
 	case message.KindManeuver:
-		m, err := message.UnmarshalManeuver(env.Payload)
-		if err != nil || !f.Require[m.Type] {
+		m := &f.mv
+		if err := message.DecodeManeuver(env.Payload, m); err != nil || !f.Require[m.Type] {
 			return nil
 		}
 		digest := sha256.Sum256(env.Payload)

@@ -39,7 +39,8 @@ type JoinGate struct {
 	MinBeacons int
 
 	seen map[uint32]presence
-	rx   message.Beacon // decode scratch for the beacon under Check
+	rx   message.Beacon   // decode scratch for the beacon under Check
+	mv   message.Maneuver // decode scratch for the maneuver under Check
 
 	// Dropped counts gated join requests.
 	Dropped uint64
@@ -89,8 +90,8 @@ func (g *JoinGate) Check(env *message.Envelope, _ mac.Rx, now sim.Time) error {
 		g.seen[b.VehicleID] = p
 		return nil
 	case message.KindManeuver:
-		m, err := message.UnmarshalManeuver(env.Payload)
-		if err != nil {
+		m := &g.mv
+		if err := message.DecodeManeuver(env.Payload, m); err != nil {
 			return nil
 		}
 		if m.Type != message.ManeuverJoinRequest && m.Type != message.ManeuverJoinComplete {

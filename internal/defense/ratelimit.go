@@ -29,6 +29,7 @@ type RateLimiter struct {
 
 	buckets map[uint32]*bucket
 	joins   bucket
+	mv      message.Maneuver // decode scratch for the maneuver under Check
 
 	// Dropped counts rate-limited messages.
 	Dropped uint64
@@ -91,8 +92,7 @@ func (r *RateLimiter) Check(env *message.Envelope, _ mac.Rx, now sim.Time) error
 		return nil // malformed payloads are someone else's problem
 	}
 	if kind == message.KindManeuver {
-		m, err := message.UnmarshalManeuver(env.Payload)
-		if err == nil && m.Type == message.ManeuverJoinRequest {
+		if message.DecodeManeuver(env.Payload, &r.mv) == nil && r.mv.Type == message.ManeuverJoinRequest {
 			if !r.joins.take(now, r.JoinRate, r.JoinBurst) {
 				r.Dropped++
 				return fmt.Errorf("%w: global join-request budget exhausted", ErrRateLimited)

@@ -89,7 +89,8 @@ type VPDADA struct {
 	OnDetect func(offender uint32, check string)
 
 	last map[uint32]lastSeen
-	rx   message.Beacon // decode scratch for the beacon under Check
+	rx   message.Beacon   // decode scratch for the beacon under Check
+	mv   message.Maneuver // decode scratch for the maneuver under Check
 
 	// Detections counts drops by check name.
 	Detections map[string]uint64
@@ -205,14 +206,13 @@ func (v *VPDADA) Check(env *message.Envelope, rx mac.Rx, now sim.Time) error {
 	}
 	switch kind {
 	case message.KindManeuver:
-		m, err := message.UnmarshalManeuver(env.Payload)
-		if err != nil {
+		if err := message.DecodeManeuver(env.Payload, &v.mv); err != nil {
 			return nil
 		}
-		if err := v.checkFreshness(env.SenderID, sim.Time(m.TimestampN), now); err != nil {
+		if err := v.checkFreshness(env.SenderID, sim.Time(v.mv.TimestampN), now); err != nil {
 			return err
 		}
-		return v.checkManeuverSeq(m, now)
+		return v.checkManeuverSeq(&v.mv, now)
 	case message.KindBeacon:
 		if err := message.DecodeBeacon(env.Payload, &v.rx); err != nil {
 			return nil

@@ -6,23 +6,28 @@ import (
 	"math"
 )
 
-// This file holds the allocation-free half of the codec: AppendTo
-// encoders that extend a caller-owned buffer, and Decode* decoders that
-// fill a caller-owned struct, reusing any slice backing it already has.
-// The Marshal/Unmarshal* APIs remain as the convenient allocating
-// wrappers; per-frame paths (agents, attacks, the metamorphic engine's
-// inner loops) should hold a scratch buffer/struct and use these.
+// This file is the codec: one AppendTo encoder and one Decode* decoder
+// per wire message. Encoders extend a caller-owned buffer; decoders
+// fill a caller-owned struct, reusing any slice backing it already has,
+// so a receiver that holds its scratch decodes without allocating.
+// Marshal is the allocating convenience form of AppendTo. PeekKind,
+// PeekEnvelope and PeekFreshness read single fields straight from the
+// wire; the differential fuzzers pin each to its decoder's accept set.
 //
-// Hot-path decoders return bare sentinel errors (ErrShortBuffer,
-// ErrBadKind, ErrBadVersion) rather than fmt-wrapped ones: wrapping
-// allocates, and these errors fire on every truncated frame a fuzzer or
-// a jammed channel produces. errors.Is works on both families.
+// Decoders return bare sentinel errors (ErrShortBuffer, ErrBadKind,
+// ErrBadVersion, ErrTooManySamples) rather than fmt-wrapped ones:
+// wrapping allocates, and these errors fire on every truncated frame a
+// fuzzer or a jammed channel produces.
 
 // ErrBadVersion reports an unsupported envelope version byte.
 var ErrBadVersion = errors.New("message: unsupported envelope version")
 
 func appendFloat(buf []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
+}
+
+func getFloat(b []byte) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
 // AppendTo appends the encoded beacon to buf and returns the extended
@@ -118,7 +123,7 @@ func (m *Membership) AppendTo(buf []byte) []byte {
 // DecodeMembership decodes a roster into m, reusing m.Members' backing
 // array when it has capacity.
 func DecodeMembership(buf []byte, m *Membership) error {
-	if len(buf) < 23 {
+	if len(buf) < membershipHeader {
 		return ErrShortBuffer
 	}
 	if Kind(buf[0]) != KindMembership {
@@ -126,7 +131,7 @@ func DecodeMembership(buf []byte, m *Membership) error {
 	}
 	le := binary.LittleEndian
 	n := int(le.Uint16(buf[21:]))
-	if len(buf) < 23+4*n {
+	if len(buf) < membershipHeader+4*n {
 		return ErrShortBuffer
 	}
 	m.PlatoonID = le.Uint32(buf[1:])
@@ -135,7 +140,7 @@ func DecodeMembership(buf []byte, m *Membership) error {
 	m.TimestampN = int64(le.Uint64(buf[13:]))
 	m.Members = m.Members[:0]
 	for i := 0; i < n; i++ {
-		m.Members = append(m.Members, le.Uint32(buf[23+4*i:]))
+		m.Members = append(m.Members, le.Uint32(buf[membershipHeader+4*i:]))
 	}
 	return nil
 }
@@ -184,7 +189,7 @@ func (k *KeyResponse) AppendTo(buf []byte) []byte {
 // DecodeKeyResponse decodes a response into k, reusing k.SealedKey's
 // backing array when it has capacity.
 func DecodeKeyResponse(buf []byte, k *KeyResponse) error {
-	if len(buf) < 31 {
+	if len(buf) < keyResponseHeader {
 		return ErrShortBuffer
 	}
 	if Kind(buf[0]) != KindKeyResponse {
@@ -192,7 +197,7 @@ func DecodeKeyResponse(buf []byte, k *KeyResponse) error {
 	}
 	le := binary.LittleEndian
 	n := int(le.Uint16(buf[29:]))
-	if len(buf) < 31+n {
+	if len(buf) < keyResponseHeader+n {
 		return ErrShortBuffer
 	}
 	k.VehicleID = le.Uint32(buf[1:])
@@ -200,17 +205,18 @@ func DecodeKeyResponse(buf []byte, k *KeyResponse) error {
 	k.Nonce = le.Uint64(buf[9:])
 	k.TimestampN = int64(le.Uint64(buf[17:]))
 	k.KeyEpoch = le.Uint32(buf[25:])
-	k.SealedKey = append(k.SealedKey[:0], buf[31:31+n]...)
+	k.SealedKey = append(k.SealedKey[:0], buf[keyResponseHeader:keyResponseHeader+n]...)
 	return nil
 }
 
 // PeekFreshness extracts the (timestamp, sequence) pair of any known
 // payload kind straight from the wire, without decoding the rest of the
-// message — the replay guard consults this on every verified frame, and
-// a full unmarshal there is a per-frame allocation. Key-management
-// messages report the low word of their nonce as the sequence. Length
-// validation matches the full decoders: a payload the decoder would
-// reject is rejected here too.
+// message — the replay guard consults this on every verified frame.
+// Key-management
+// messages report the low word of their nonce as the sequence. It
+// accepts exactly the payloads its kind's Decode* accepts
+// (FuzzPeekFreshness), so a frame the replay guard cannot read is one
+// no handler could decode either.
 func PeekFreshness(payload []byte) (ts int64, seq uint32, err error) {
 	if len(payload) < 1 {
 		return 0, 0, ErrShortBuffer
@@ -228,10 +234,10 @@ func PeekFreshness(payload []byte) (ts int64, seq uint32, err error) {
 		}
 		return int64(le.Uint64(payload[18:])), le.Uint32(payload[14:]), nil
 	case KindMembership:
-		if len(payload) < 23 {
+		if len(payload) < membershipHeader {
 			return 0, 0, ErrShortBuffer
 		}
-		if n := int(le.Uint16(payload[21:])); len(payload) < 23+4*n {
+		if n := int(le.Uint16(payload[21:])); len(payload) < membershipHeader+4*n {
 			return 0, 0, ErrShortBuffer
 		}
 		return int64(le.Uint64(payload[13:])), le.Uint32(payload[9:]), nil
@@ -241,19 +247,22 @@ func PeekFreshness(payload []byte) (ts int64, seq uint32, err error) {
 		}
 		return int64(le.Uint64(payload[17:])), uint32(le.Uint64(payload[9:])), nil
 	case KindKeyResponse:
-		if len(payload) < 31 {
+		if len(payload) < keyResponseHeader {
 			return 0, 0, ErrShortBuffer
 		}
-		if n := int(le.Uint16(payload[29:])); len(payload) < 31+n {
+		if n := int(le.Uint16(payload[29:])); len(payload) < keyResponseHeader+n {
 			return 0, 0, ErrShortBuffer
 		}
 		return int64(le.Uint64(payload[17:])), uint32(le.Uint64(payload[9:])), nil
 	case KindContextProof:
-		if len(payload) < 23 {
+		if len(payload) < contextProofHeader {
 			return 0, 0, ErrShortBuffer
 		}
 		n := int(le.Uint16(payload[21:]))
-		if n > MaxProofSamples || len(payload) < 23+16*n {
+		if n > MaxProofSamples {
+			return 0, 0, ErrTooManySamples
+		}
+		if len(payload) < contextProofHeader+16*n {
 			return 0, 0, ErrShortBuffer
 		}
 		return int64(le.Uint64(payload[13:])), le.Uint32(payload[9:]), nil
@@ -275,8 +284,8 @@ func (e *Envelope) AppendTo(buf []byte) []byte {
 	return buf
 }
 
-// AppendSignedBytes appends the exact byte string a signature covers —
-// the scratch-buffer form of SignedBytes for per-frame sign/verify.
+// AppendSignedBytes appends the exact byte string a signature covers:
+// version, claimed sender, certificate serial and payload.
 func (e *Envelope) AppendSignedBytes(buf []byte) []byte {
 	buf = append(buf, envelopeVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, e.SenderID)
@@ -309,5 +318,52 @@ func DecodeEnvelope(buf []byte, e *Envelope) error {
 	e.CertSerial = le.Uint32(buf[5:])
 	e.Payload = append(e.Payload[:0], buf[11:11+plen]...)
 	e.Sig = append(e.Sig[:0], buf[13+plen:13+plen+slen]...)
+	return nil
+}
+
+// AppendTo appends the encoded proof to buf; the sample count is capped
+// at MaxProofSamples.
+func (c *ContextProof) AppendTo(buf []byte) []byte {
+	n := min(len(c.Samples), MaxProofSamples)
+	le := binary.LittleEndian
+	buf = append(buf, byte(KindContextProof))
+	buf = le.AppendUint32(buf, c.VehicleID)
+	buf = le.AppendUint32(buf, c.PlatoonID)
+	buf = le.AppendUint32(buf, c.Seq)
+	buf = le.AppendUint64(buf, uint64(c.TimestampN))
+	buf = le.AppendUint16(buf, uint16(n))
+	for _, smp := range c.Samples[:n] {
+		buf = appendFloat(buf, smp.Position)
+		buf = appendFloat(buf, smp.Value)
+	}
+	return buf
+}
+
+// DecodeContextProof decodes a proof into c, reusing c.Samples' backing
+// array when it has capacity. A proof claiming more than
+// MaxProofSamples samples is rejected.
+func DecodeContextProof(buf []byte, c *ContextProof) error {
+	if len(buf) < contextProofHeader {
+		return ErrShortBuffer
+	}
+	if Kind(buf[0]) != KindContextProof {
+		return ErrBadKind
+	}
+	le := binary.LittleEndian
+	n := int(le.Uint16(buf[21:]))
+	if n > MaxProofSamples {
+		return ErrTooManySamples
+	}
+	if len(buf) < contextProofHeader+16*n {
+		return ErrShortBuffer
+	}
+	c.VehicleID = le.Uint32(buf[1:])
+	c.PlatoonID = le.Uint32(buf[5:])
+	c.Seq = le.Uint32(buf[9:])
+	c.TimestampN = int64(le.Uint64(buf[13:]))
+	c.Samples = c.Samples[:0]
+	for off := contextProofHeader; off < contextProofHeader+16*n; off += 16 {
+		c.Samples = append(c.Samples, ProofSample{Position: getFloat(buf[off:]), Value: getFloat(buf[off+8:])})
+	}
 	return nil
 }

@@ -16,11 +16,12 @@ func BenchmarkBeaconMarshal(b *testing.B) {
 	}
 }
 
-func BenchmarkBeaconUnmarshal(b *testing.B) {
+func BenchmarkBeaconDecode(b *testing.B) {
 	buf := (&Beacon{VehicleID: 7, Seq: 42}).Marshal()
+	var bc Beacon
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := UnmarshalBeacon(buf); err != nil {
+		if err := DecodeBeacon(buf, &bc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -29,10 +30,12 @@ func BenchmarkBeaconUnmarshal(b *testing.B) {
 func BenchmarkEnvelopeRoundTrip(b *testing.B) {
 	payload := (&Beacon{VehicleID: 7}).Marshal()
 	env := &Envelope{SenderID: 7, CertSerial: 3, Payload: payload, Sig: make([]byte, 64)}
+	var wire []byte
+	var got Envelope
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		wire := env.Marshal()
-		if _, err := UnmarshalEnvelope(wire); err != nil {
+		wire = env.AppendTo(wire[:0])
+		if err := DecodeEnvelope(wire, &got); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,10 +1,6 @@
 package message
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-)
+import "errors"
 
 // KindContextProof extends the message kinds with the Convoy-style
 // physical presence proof ([4]): a joiner's recent road-roughness
@@ -14,6 +10,13 @@ const KindContextProof Kind = 6
 
 // MaxProofSamples bounds a proof's size (keeps frames within one MTU).
 const MaxProofSamples = 64
+
+// ErrTooManySamples reports a proof claiming more than MaxProofSamples
+// samples.
+var ErrTooManySamples = errors.New("message: context proof over MaxProofSamples samples")
+
+// contextProofHeader is a proof's size before its samples.
+const contextProofHeader = 1 + 4 + 4 + 4 + 8 + 2
 
 // ProofSample is one (position, roughness) observation.
 type ProofSample struct {
@@ -32,55 +35,5 @@ type ContextProof struct {
 
 // Marshal encodes the proof; sample count is capped at MaxProofSamples.
 func (c *ContextProof) Marshal() []byte {
-	n := len(c.Samples)
-	if n > MaxProofSamples {
-		n = MaxProofSamples
-	}
-	buf := make([]byte, 1+4+4+4+8+2+16*n)
-	buf[0] = byte(KindContextProof)
-	le := binary.LittleEndian
-	le.PutUint32(buf[1:], c.VehicleID)
-	le.PutUint32(buf[5:], c.PlatoonID)
-	le.PutUint32(buf[9:], c.Seq)
-	le.PutUint64(buf[13:], uint64(c.TimestampN))
-	le.PutUint16(buf[21:], uint16(n))
-	off := 23
-	for i := 0; i < n; i++ {
-		le.PutUint64(buf[off:], math.Float64bits(c.Samples[i].Position))
-		le.PutUint64(buf[off+8:], math.Float64bits(c.Samples[i].Value))
-		off += 16
-	}
-	return buf
-}
-
-// UnmarshalContextProof decodes a proof.
-func UnmarshalContextProof(buf []byte) (*ContextProof, error) {
-	if len(buf) < 23 {
-		return nil, fmt.Errorf("%w: context proof header needs 23 bytes, got %d", ErrShortBuffer, len(buf))
-	}
-	if Kind(buf[0]) != KindContextProof {
-		return nil, fmt.Errorf("%w: %v", ErrBadKind, Kind(buf[0]))
-	}
-	le := binary.LittleEndian
-	c := &ContextProof{
-		VehicleID:  le.Uint32(buf[1:]),
-		PlatoonID:  le.Uint32(buf[5:]),
-		Seq:        le.Uint32(buf[9:]),
-		TimestampN: int64(le.Uint64(buf[13:])),
-	}
-	n := int(le.Uint16(buf[21:]))
-	if n > MaxProofSamples {
-		return nil, fmt.Errorf("message: context proof claims %d samples (max %d)", n, MaxProofSamples)
-	}
-	if len(buf) < 23+16*n {
-		return nil, fmt.Errorf("%w: proof with %d samples truncated", ErrShortBuffer, n)
-	}
-	c.Samples = make([]ProofSample, n)
-	off := 23
-	for i := 0; i < n; i++ {
-		c.Samples[i].Position = math.Float64frombits(le.Uint64(buf[off:]))
-		c.Samples[i].Value = math.Float64frombits(le.Uint64(buf[off+8:]))
-		off += 16
-	}
-	return c, nil
+	return c.AppendTo(make([]byte, 0, contextProofHeader+16*min(len(c.Samples), MaxProofSamples)))
 }

@@ -5,13 +5,14 @@ import (
 	"testing"
 )
 
-// The receive path decodes in place (DecodeBeacon, DecodeEnvelope into
-// scratch the receiver owns) where it once allocated per frame
-// (UnmarshalBeacon, UnmarshalEnvelope). These fuzzers pin the two
-// decoder families to the same accept set and the same fields, with the
-// in-place scratch reused across inputs exactly as receivers reuse it.
+// Each kind has one decoder, Decode*. The peeks read single fields
+// straight from the wire on paths that must not decode the whole frame:
+// PeekFreshness feeds the replay guard, PeekEnvelope labels frames.
+// These fuzzers pin each peek to the decoder it shortcuts. A frame the
+// two read differently is a parser disagreement an attacker can aim at:
+// for PeekFreshness, a replay-guard bypass.
 
-func FuzzBeaconDecodersAgree(f *testing.F) {
+func FuzzPeekFreshness(f *testing.F) {
 	b := Beacon{
 		VehicleID: 7, PlatoonID: 1, Seq: 42, TimestampN: 123456789,
 		Role: RoleLeader, Position: 1999.5, Speed: 27.5, Accel: -0.25,
@@ -22,55 +23,86 @@ func FuzzBeaconDecodersAgree(f *testing.F) {
 	f.Add(b.Marshal()[:beaconSize-1])
 	f.Add([]byte{byte(KindManeuver)})
 	f.Add([]byte{})
-	var scratch Beacon
+	f.Add((&Maneuver{Type: ManeuverSplit, Seq: 9, TimestampN: 42}).Marshal())
+	roster := (&Membership{Seq: 7, TimestampN: 1_000_000, Members: []uint32{2, 3}}).Marshal()
+	f.Add(roster)
+	f.Add(roster[:len(roster)-1])
+	f.Add((&KeyRequest{Nonce: 1<<40 | 5, TimestampN: 11}).Marshal())
+	resp := (&KeyResponse{Nonce: 3, TimestampN: 12, SealedKey: []byte{1, 2, 3}}).Marshal()
+	f.Add(resp)
+	f.Add(resp[:len(resp)-1])
+	proof := (&ContextProof{Seq: 4, TimestampN: 13, Samples: make([]ProofSample, 2)}).Marshal()
+	f.Add(proof)
+	f.Add(proof[:len(proof)-1])
+	f.Add([]byte{byte(KindContextProof) + 1, 0, 0})
+
+	var (
+		bc Beacon
+		mv Maneuver
+		mb Membership
+		kq KeyRequest
+		kr KeyResponse
+		cp ContextProof
+	)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		want, uerr := UnmarshalBeacon(data)
-		derr := DecodeBeacon(data, &scratch)
-		if (uerr == nil) != (derr == nil) {
-			t.Fatalf("UnmarshalBeacon err = %v, DecodeBeacon err = %v", uerr, derr)
+		ts, seq, err := PeekFreshness(data)
+		// Every decoder checks the kind byte, so at most one accepts.
+		var wantTS int64
+		var wantSeq uint32
+		accepted := 0
+		if DecodeBeacon(data, &bc) == nil {
+			wantTS, wantSeq = bc.TimestampN, bc.Seq
+			accepted++
 		}
-		if uerr != nil {
-			return
+		if DecodeManeuver(data, &mv) == nil {
+			wantTS, wantSeq = mv.TimestampN, mv.Seq
+			accepted++
 		}
-		// Compare wire images, not structs: NaN fields never compare equal.
-		if got := scratch.Marshal(); !bytes.Equal(got, want.Marshal()) {
-			t.Fatalf("fields differ:\nDecodeBeacon    %+v\nUnmarshalBeacon %+v", scratch, *want)
+		if DecodeMembership(data, &mb) == nil {
+			wantTS, wantSeq = mb.TimestampN, mb.Seq
+			accepted++
+		}
+		if DecodeKeyRequest(data, &kq) == nil {
+			wantTS, wantSeq = kq.TimestampN, uint32(kq.Nonce)
+			accepted++
+		}
+		if DecodeKeyResponse(data, &kr) == nil {
+			wantTS, wantSeq = kr.TimestampN, uint32(kr.Nonce)
+			accepted++
+		}
+		if DecodeContextProof(data, &cp) == nil {
+			wantTS, wantSeq = cp.TimestampN, cp.Seq
+			accepted++
+		}
+		switch {
+		case accepted > 1:
+			t.Fatalf("%d decoders accepted one %d-byte frame", accepted, len(data))
+		case (err == nil) != (accepted == 1):
+			t.Fatalf("PeekFreshness err = %v, but %d decoders accepted the %d-byte frame", err, accepted, len(data))
+		case err == nil && (ts != wantTS || seq != wantSeq):
+			t.Fatalf("PeekFreshness = (%d, %d), decoder = (%d, %d)", ts, seq, wantTS, wantSeq)
 		}
 	})
 }
 
-func FuzzEnvelopeDecodersAgree(f *testing.F) {
+func FuzzPeekEnvelope(f *testing.F) {
 	signed := Envelope{SenderID: 7, CertSerial: 3, Payload: []byte{byte(KindBeacon), 1, 2}, Sig: bytes.Repeat([]byte{9}, 64)}
-	unsigned := Envelope{SenderID: 7, Payload: []byte{byte(KindManeuver)}}
 	f.Add(signed.Marshal())
-	f.Add(unsigned.Marshal())
-	f.Add(append(signed.Marshal(), 0xAA))
-	f.Add(signed.Marshal()[:20])
-	f.Add([]byte{envelopeVersion + 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add((&Envelope{SenderID: 8, Payload: []byte{byte(KindMembership)}}).Marshal())
+	f.Add((&Envelope{SenderID: 9}).Marshal())
+	f.Add(signed.Marshal()[:12])
 	f.Add([]byte{})
-	var scratch Envelope
+	var env Envelope
 	f.Fuzz(func(t *testing.T, data []byte) {
-		want, uerr := UnmarshalEnvelope(data)
-		derr := DecodeEnvelope(data, &scratch)
-		if (uerr == nil) != (derr == nil) {
-			t.Fatalf("UnmarshalEnvelope err = %v, DecodeEnvelope err = %v", uerr, derr)
-		}
-		if uerr != nil {
+		if DecodeEnvelope(data, &env) != nil || len(env.Payload) == 0 {
 			return
 		}
-		if scratch.SenderID != want.SenderID || scratch.CertSerial != want.CertSerial ||
-			!bytes.Equal(scratch.Payload, want.Payload) || !bytes.Equal(scratch.Sig, want.Sig) {
-			t.Fatalf("fields differ:\nDecodeEnvelope    %+v\nUnmarshalEnvelope %+v", scratch, *want)
+		sender, kind, err := PeekEnvelope(data)
+		if err != nil {
+			t.Fatalf("PeekEnvelope rejected a frame DecodeEnvelope accepts: %v", err)
 		}
-		// The one allowed difference: an unsigned envelope decodes to a
-		// nil Sig from UnmarshalEnvelope and to an empty one from a
-		// reused DecodeEnvelope scratch. Both have length zero, which
-		// is what the verifier's unsigned check reads.
-		if len(want.Sig) == 0 && (want.Sig != nil || len(scratch.Sig) != 0) {
-			t.Fatalf("unsigned envelope: Unmarshal Sig %#v, Decode Sig %#v", want.Sig, scratch.Sig)
-		}
-		if len(scratch.Payload) > 0 && len(data) > 11 && &scratch.Payload[0] == &data[11] {
-			t.Fatal("DecodeEnvelope aliased the wire buffer")
+		if want, _ := env.Kind(); sender != env.SenderID || kind != want {
+			t.Fatalf("PeekEnvelope = (%d, %v), DecodeEnvelope = (%d, %v)", sender, kind, env.SenderID, want)
 		}
 	})
 }

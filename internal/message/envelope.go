@@ -30,25 +30,12 @@ func (e *Envelope) Kind() (Kind, error) { return PeekKind(e.Payload) }
 
 // SignedBytes returns the exact byte string a signature covers.
 func (e *Envelope) SignedBytes() []byte {
-	buf := make([]byte, 0, 1+4+4+len(e.Payload))
-	buf = append(buf, envelopeVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, e.SenderID)
-	buf = binary.LittleEndian.AppendUint32(buf, e.CertSerial)
-	buf = append(buf, e.Payload...)
-	return buf
+	return e.AppendSignedBytes(make([]byte, 0, 1+4+4+len(e.Payload)))
 }
 
 // Marshal encodes the envelope for transmission.
 func (e *Envelope) Marshal() []byte {
-	buf := make([]byte, 0, 1+4+4+2+len(e.Payload)+2+len(e.Sig))
-	buf = append(buf, envelopeVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, e.SenderID)
-	buf = binary.LittleEndian.AppendUint32(buf, e.CertSerial)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(e.Payload)))
-	buf = append(buf, e.Payload...)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(e.Sig)))
-	buf = append(buf, e.Sig...)
-	return buf
+	return e.AppendTo(make([]byte, 0, 1+4+4+2+len(e.Payload)+2+len(e.Sig)))
 }
 
 // PeekEnvelope returns the claimed sender and inner message kind of
@@ -69,34 +56,4 @@ func PeekEnvelope(buf []byte) (sender uint32, kind Kind, err error) {
 		return 0, 0, fmt.Errorf("%w: envelope payload truncated", ErrShortBuffer)
 	}
 	return le.Uint32(buf[1:]), Kind(buf[11]), nil
-}
-
-// UnmarshalEnvelope decodes an envelope.
-func UnmarshalEnvelope(buf []byte) (*Envelope, error) {
-	if len(buf) < 11 {
-		return nil, fmt.Errorf("%w: envelope header needs 11 bytes, got %d", ErrShortBuffer, len(buf))
-	}
-	if buf[0] != envelopeVersion {
-		return nil, fmt.Errorf("message: unsupported envelope version %d", buf[0])
-	}
-	le := binary.LittleEndian
-	e := &Envelope{
-		SenderID:   le.Uint32(buf[1:]),
-		CertSerial: le.Uint32(buf[5:]),
-	}
-	plen := int(le.Uint16(buf[9:]))
-	if len(buf) < 11+plen+2 {
-		return nil, fmt.Errorf("%w: payload of %d bytes truncated", ErrShortBuffer, plen)
-	}
-	e.Payload = make([]byte, plen)
-	copy(e.Payload, buf[11:11+plen])
-	slen := int(le.Uint16(buf[11+plen:]))
-	if len(buf) < 13+plen+slen {
-		return nil, fmt.Errorf("%w: signature of %d bytes truncated", ErrShortBuffer, slen)
-	}
-	if slen > 0 {
-		e.Sig = make([]byte, slen)
-		copy(e.Sig, buf[13+plen:13+plen+slen])
-	}
-	return e, nil
 }

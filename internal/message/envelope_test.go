@@ -10,8 +10,8 @@ import (
 func TestEnvelopeRoundTrip(t *testing.T) {
 	payload := (&Beacon{VehicleID: 5, Speed: 20}).Marshal()
 	e := &Envelope{SenderID: 5, CertSerial: 9, Payload: payload, Sig: []byte("signature")}
-	got, err := UnmarshalEnvelope(e.Marshal())
-	if err != nil {
+	got := &Envelope{}
+	if err := DecodeEnvelope(e.Marshal(), got); err != nil {
 		t.Fatal(err)
 	}
 	if got.SenderID != 5 || got.CertSerial != 9 {
@@ -28,8 +28,8 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 
 func TestEnvelopeUnsigned(t *testing.T) {
 	e := &Envelope{SenderID: 1, Payload: []byte{byte(KindBeacon)}}
-	got, err := UnmarshalEnvelope(e.Marshal())
-	if err != nil {
+	var got Envelope
+	if err := DecodeEnvelope(e.Marshal(), &got); err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Sig) != 0 {
@@ -51,18 +51,19 @@ func TestEnvelopeSignedBytesBindsSender(t *testing.T) {
 }
 
 func TestEnvelopeErrors(t *testing.T) {
-	if _, err := UnmarshalEnvelope([]byte{1, 2}); !errors.Is(err, ErrShortBuffer) {
+	var got Envelope
+	if err := DecodeEnvelope([]byte{1, 2}, &got); !errors.Is(err, ErrShortBuffer) {
 		t.Fatalf("short header: %v", err)
 	}
 	e := &Envelope{SenderID: 1, Payload: []byte{1, 2, 3}, Sig: []byte{9}}
 	buf := e.Marshal()
-	if _, err := UnmarshalEnvelope(buf[:len(buf)-1]); !errors.Is(err, ErrShortBuffer) {
+	if err := DecodeEnvelope(buf[:len(buf)-1], &got); !errors.Is(err, ErrShortBuffer) {
 		t.Fatalf("truncated sig: %v", err)
 	}
 	bad := append([]byte{}, buf...)
 	bad[0] = 99
-	if _, err := UnmarshalEnvelope(bad); err == nil {
-		t.Fatal("bad version accepted")
+	if err := DecodeEnvelope(bad, &got); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("bad version: %v", err)
 	}
 }
 
@@ -79,8 +80,8 @@ func TestPeekEnvelope(t *testing.T) {
 		t.Fatalf("peek = sender %d kind %v, want 40 %v", sender, kind, KindManeuver)
 	}
 	// Peek must agree with the full decode it is a shortcut for.
-	full, err := UnmarshalEnvelope(buf)
-	if err != nil {
+	full := &Envelope{}
+	if err := DecodeEnvelope(buf, full); err != nil {
 		t.Fatal(err)
 	}
 	fk, err := full.Kind()
@@ -113,8 +114,8 @@ func TestEnvelopeQuickRoundTrip(t *testing.T) {
 			return true
 		}
 		e := &Envelope{SenderID: sender, CertSerial: serial, Payload: payload, Sig: sig}
-		got, err := UnmarshalEnvelope(e.Marshal())
-		if err != nil {
+		got := &Envelope{}
+		if err := DecodeEnvelope(e.Marshal(), got); err != nil {
 			return false
 		}
 		if got.SenderID != sender || got.CertSerial != serial {

@@ -10,7 +10,6 @@
 package message
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -106,45 +105,7 @@ type Beacon struct {
 const beaconSize = 1 + 4 + 4 + 4 + 8 + 1 + 8*5
 
 // Marshal encodes the beacon.
-func (b *Beacon) Marshal() []byte {
-	buf := make([]byte, beaconSize)
-	buf[0] = byte(KindBeacon)
-	le := binary.LittleEndian
-	le.PutUint32(buf[1:], b.VehicleID)
-	le.PutUint32(buf[5:], b.PlatoonID)
-	le.PutUint32(buf[9:], b.Seq)
-	le.PutUint64(buf[13:], uint64(b.TimestampN))
-	buf[21] = byte(b.Role)
-	putFloat(buf[22:], b.Position)
-	putFloat(buf[30:], b.Speed)
-	putFloat(buf[38:], b.Accel)
-	putFloat(buf[46:], b.LeaderSpeed)
-	putFloat(buf[54:], b.LeaderAccel)
-	return buf
-}
-
-// UnmarshalBeacon decodes a beacon.
-func UnmarshalBeacon(buf []byte) (*Beacon, error) {
-	if len(buf) < beaconSize {
-		return nil, fmt.Errorf("%w: beacon needs %d bytes, got %d", ErrShortBuffer, beaconSize, len(buf))
-	}
-	if Kind(buf[0]) != KindBeacon {
-		return nil, fmt.Errorf("%w: %v", ErrBadKind, Kind(buf[0]))
-	}
-	le := binary.LittleEndian
-	return &Beacon{
-		VehicleID:   le.Uint32(buf[1:]),
-		PlatoonID:   le.Uint32(buf[5:]),
-		Seq:         le.Uint32(buf[9:]),
-		TimestampN:  int64(le.Uint64(buf[13:])),
-		Role:        Role(buf[21]),
-		Position:    getFloat(buf[22:]),
-		Speed:       getFloat(buf[30:]),
-		Accel:       getFloat(buf[38:]),
-		LeaderSpeed: getFloat(buf[46:]),
-		LeaderAccel: getFloat(buf[54:]),
-	}, nil
-}
+func (b *Beacon) Marshal() []byte { return b.AppendTo(make([]byte, 0, beaconSize)) }
 
 // ManeuverType enumerates platoon maneuvers (§V-A3: fake entrance, fake
 // leave, fake split are forged instances of these).
@@ -210,41 +171,7 @@ type Maneuver struct {
 const maneuverSize = 1 + 1 + 4 + 4 + 4 + 4 + 8 + 2 + 8
 
 // Marshal encodes the maneuver.
-func (m *Maneuver) Marshal() []byte {
-	buf := make([]byte, maneuverSize)
-	buf[0] = byte(KindManeuver)
-	buf[1] = byte(m.Type)
-	le := binary.LittleEndian
-	le.PutUint32(buf[2:], m.VehicleID)
-	le.PutUint32(buf[6:], m.PlatoonID)
-	le.PutUint32(buf[10:], m.TargetID)
-	le.PutUint32(buf[14:], m.Seq)
-	le.PutUint64(buf[18:], uint64(m.TimestampN))
-	le.PutUint16(buf[26:], m.Slot)
-	putFloat(buf[28:], m.Param)
-	return buf
-}
-
-// UnmarshalManeuver decodes a maneuver.
-func UnmarshalManeuver(buf []byte) (*Maneuver, error) {
-	if len(buf) < maneuverSize {
-		return nil, fmt.Errorf("%w: maneuver needs %d bytes, got %d", ErrShortBuffer, maneuverSize, len(buf))
-	}
-	if Kind(buf[0]) != KindManeuver {
-		return nil, fmt.Errorf("%w: %v", ErrBadKind, Kind(buf[0]))
-	}
-	le := binary.LittleEndian
-	return &Maneuver{
-		Type:       ManeuverType(buf[1]),
-		VehicleID:  le.Uint32(buf[2:]),
-		PlatoonID:  le.Uint32(buf[6:]),
-		TargetID:   le.Uint32(buf[10:]),
-		Seq:        le.Uint32(buf[14:]),
-		TimestampN: int64(le.Uint64(buf[18:])),
-		Slot:       le.Uint16(buf[26:]),
-		Param:      getFloat(buf[28:]),
-	}, nil
-}
+func (m *Maneuver) Marshal() []byte { return m.AppendTo(make([]byte, 0, maneuverSize)) }
 
 // Membership is the leader's periodic roster announcement: the ordered
 // list of member vehicle IDs. Sybil ghosts that get admitted show up
@@ -258,49 +185,18 @@ type Membership struct {
 	Members    []uint32 // ordered front-to-back, excluding the leader
 }
 
+// membershipHeader is a roster's size before its member list.
+const membershipHeader = 1 + 4 + 4 + 4 + 8 + 2
+
+// MaxRosterMembers is the longest roster that survives the wire: a
+// roster costs membershipHeader bytes plus 4 per member, and the
+// envelope carries it under a uint16 payload length. A longer roster
+// encodes without error but reaches receivers truncated.
+const MaxRosterMembers = (math.MaxUint16 - membershipHeader) / 4
+
 // Marshal encodes the roster.
 func (m *Membership) Marshal() []byte {
-	buf := make([]byte, 1+4+4+4+8+2+4*len(m.Members))
-	buf[0] = byte(KindMembership)
-	le := binary.LittleEndian
-	le.PutUint32(buf[1:], m.PlatoonID)
-	le.PutUint32(buf[5:], m.LeaderID)
-	le.PutUint32(buf[9:], m.Seq)
-	le.PutUint64(buf[13:], uint64(m.TimestampN))
-	le.PutUint16(buf[21:], uint16(len(m.Members)))
-	off := 23
-	for _, id := range m.Members {
-		le.PutUint32(buf[off:], id)
-		off += 4
-	}
-	return buf
-}
-
-// UnmarshalMembership decodes a roster.
-func UnmarshalMembership(buf []byte) (*Membership, error) {
-	if len(buf) < 23 {
-		return nil, fmt.Errorf("%w: membership header needs 23 bytes, got %d", ErrShortBuffer, len(buf))
-	}
-	if Kind(buf[0]) != KindMembership {
-		return nil, fmt.Errorf("%w: %v", ErrBadKind, Kind(buf[0]))
-	}
-	le := binary.LittleEndian
-	m := &Membership{
-		PlatoonID:  le.Uint32(buf[1:]),
-		LeaderID:   le.Uint32(buf[5:]),
-		Seq:        le.Uint32(buf[9:]),
-		TimestampN: int64(le.Uint64(buf[13:])),
-	}
-	n := int(le.Uint16(buf[21:]))
-	if len(buf) < 23+4*n {
-		return nil, fmt.Errorf("%w: membership with %d members needs %d bytes, got %d",
-			ErrShortBuffer, n, 23+4*n, len(buf))
-	}
-	m.Members = make([]uint32, n)
-	for i := 0; i < n; i++ {
-		m.Members[i] = le.Uint32(buf[23+4*i:])
-	}
-	return m, nil
+	return m.AppendTo(make([]byte, 0, membershipHeader+4*len(m.Members)))
 }
 
 // KeyRequest asks an RSU / trusted authority for the current platoon
@@ -315,33 +211,7 @@ type KeyRequest struct {
 const keyRequestSize = 1 + 4 + 4 + 8 + 8
 
 // Marshal encodes the request.
-func (k *KeyRequest) Marshal() []byte {
-	buf := make([]byte, keyRequestSize)
-	buf[0] = byte(KindKeyRequest)
-	le := binary.LittleEndian
-	le.PutUint32(buf[1:], k.VehicleID)
-	le.PutUint32(buf[5:], k.PlatoonID)
-	le.PutUint64(buf[9:], k.Nonce)
-	le.PutUint64(buf[17:], uint64(k.TimestampN))
-	return buf
-}
-
-// UnmarshalKeyRequest decodes a request.
-func UnmarshalKeyRequest(buf []byte) (*KeyRequest, error) {
-	if len(buf) < keyRequestSize {
-		return nil, fmt.Errorf("%w: key request needs %d bytes, got %d", ErrShortBuffer, keyRequestSize, len(buf))
-	}
-	if Kind(buf[0]) != KindKeyRequest {
-		return nil, fmt.Errorf("%w: %v", ErrBadKind, Kind(buf[0]))
-	}
-	le := binary.LittleEndian
-	return &KeyRequest{
-		VehicleID:  le.Uint32(buf[1:]),
-		PlatoonID:  le.Uint32(buf[5:]),
-		Nonce:      le.Uint64(buf[9:]),
-		TimestampN: int64(le.Uint64(buf[17:])),
-	}, nil
-}
+func (k *KeyRequest) Marshal() []byte { return k.AppendTo(make([]byte, 0, keyRequestSize)) }
 
 // KeyResponse carries a (sealed) session key from the RSU to a vehicle.
 type KeyResponse struct {
@@ -353,44 +223,12 @@ type KeyResponse struct {
 	SealedKey  []byte // key encrypted to the vehicle (opaque here)
 }
 
+// keyResponseHeader is a response's size before its sealed key.
+const keyResponseHeader = 1 + 4 + 4 + 8 + 8 + 4 + 2
+
 // Marshal encodes the response.
 func (k *KeyResponse) Marshal() []byte {
-	buf := make([]byte, 1+4+4+8+8+4+2+len(k.SealedKey))
-	buf[0] = byte(KindKeyResponse)
-	le := binary.LittleEndian
-	le.PutUint32(buf[1:], k.VehicleID)
-	le.PutUint32(buf[5:], k.PlatoonID)
-	le.PutUint64(buf[9:], k.Nonce)
-	le.PutUint64(buf[17:], uint64(k.TimestampN))
-	le.PutUint32(buf[25:], k.KeyEpoch)
-	le.PutUint16(buf[29:], uint16(len(k.SealedKey)))
-	copy(buf[31:], k.SealedKey)
-	return buf
-}
-
-// UnmarshalKeyResponse decodes a response.
-func UnmarshalKeyResponse(buf []byte) (*KeyResponse, error) {
-	if len(buf) < 31 {
-		return nil, fmt.Errorf("%w: key response header needs 31 bytes, got %d", ErrShortBuffer, len(buf))
-	}
-	if Kind(buf[0]) != KindKeyResponse {
-		return nil, fmt.Errorf("%w: %v", ErrBadKind, Kind(buf[0]))
-	}
-	le := binary.LittleEndian
-	k := &KeyResponse{
-		VehicleID:  le.Uint32(buf[1:]),
-		PlatoonID:  le.Uint32(buf[5:]),
-		Nonce:      le.Uint64(buf[9:]),
-		TimestampN: int64(le.Uint64(buf[17:])),
-		KeyEpoch:   le.Uint32(buf[25:]),
-	}
-	n := int(le.Uint16(buf[29:]))
-	if len(buf) < 31+n {
-		return nil, fmt.Errorf("%w: sealed key of %d bytes truncated", ErrShortBuffer, n)
-	}
-	k.SealedKey = make([]byte, n)
-	copy(k.SealedKey, buf[31:31+n])
-	return k, nil
+	return k.AppendTo(make([]byte, 0, keyResponseHeader+len(k.SealedKey)))
 }
 
 // PeekKind returns the kind byte of an encoded message without decoding
@@ -402,12 +240,4 @@ func PeekKind(buf []byte) (Kind, error) {
 		return 0, ErrShortBuffer
 	}
 	return Kind(buf[0]), nil
-}
-
-func putFloat(b []byte, f float64) {
-	binary.LittleEndian.PutUint64(b, math.Float64bits(f))
-}
-
-func getFloat(b []byte) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }

@@ -21,8 +21,8 @@ func TestBeaconRoundTrip(t *testing.T) {
 		LeaderSpeed: 25.0,
 		LeaderAccel: 0.1,
 	}
-	got, err := UnmarshalBeacon(b.Marshal())
-	if err != nil {
+	got := &Beacon{}
+	if err := DecodeBeacon(b.Marshal(), got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, b) {
@@ -36,8 +36,8 @@ func TestBeaconQuickRoundTrip(t *testing.T) {
 			VehicleID: vid, PlatoonID: pid, Seq: seq, TimestampN: ts,
 			Role: RoleLeader, Position: pos, Speed: speed, Accel: accel,
 		}
-		got, err := UnmarshalBeacon(b.Marshal())
-		if err != nil {
+		got := &Beacon{}
+		if err := DecodeBeacon(b.Marshal(), got); err != nil {
 			return false
 		}
 		// NaN != NaN under DeepEqual via ==; compare bit patterns.
@@ -51,15 +51,16 @@ func TestBeaconQuickRoundTrip(t *testing.T) {
 }
 
 func TestBeaconErrors(t *testing.T) {
-	if _, err := UnmarshalBeacon(nil); !errors.Is(err, ErrShortBuffer) {
+	var got Beacon
+	if err := DecodeBeacon(nil, &got); !errors.Is(err, ErrShortBuffer) {
 		t.Fatalf("nil buffer: %v", err)
 	}
 	b := (&Beacon{}).Marshal()
-	if _, err := UnmarshalBeacon(b[:10]); !errors.Is(err, ErrShortBuffer) {
+	if err := DecodeBeacon(b[:10], &got); !errors.Is(err, ErrShortBuffer) {
 		t.Fatalf("short buffer: %v", err)
 	}
 	b[0] = byte(KindManeuver)
-	if _, err := UnmarshalBeacon(b); !errors.Is(err, ErrBadKind) {
+	if err := DecodeBeacon(b, &got); !errors.Is(err, ErrBadKind) {
 		t.Fatalf("wrong kind: %v", err)
 	}
 }
@@ -75,8 +76,8 @@ func TestManeuverRoundTrip(t *testing.T) {
 				Type: typ, VehicleID: 9, PlatoonID: 1, TargetID: 4,
 				Seq: 100, TimestampN: 55, Slot: 3, Param: 12.5,
 			}
-			got, err := UnmarshalManeuver(m.Marshal())
-			if err != nil {
+			got := &Maneuver{}
+			if err := DecodeManeuver(m.Marshal(), got); err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, m) {
@@ -87,12 +88,13 @@ func TestManeuverRoundTrip(t *testing.T) {
 }
 
 func TestManeuverErrors(t *testing.T) {
-	if _, err := UnmarshalManeuver([]byte{1, 2}); !errors.Is(err, ErrShortBuffer) {
+	var got Maneuver
+	if err := DecodeManeuver([]byte{1, 2}, &got); !errors.Is(err, ErrShortBuffer) {
 		t.Fatalf("short: %v", err)
 	}
 	buf := (&Maneuver{Type: ManeuverSplit}).Marshal()
 	buf[0] = byte(KindBeacon)
-	if _, err := UnmarshalManeuver(buf); !errors.Is(err, ErrBadKind) {
+	if err := DecodeManeuver(buf, &got); !errors.Is(err, ErrBadKind) {
 		t.Fatalf("kind: %v", err)
 	}
 }
@@ -102,8 +104,8 @@ func TestMembershipRoundTrip(t *testing.T) {
 		PlatoonID: 1, LeaderID: 10, Seq: 5, TimestampN: 999,
 		Members: []uint32{11, 12, 13, 14},
 	}
-	got, err := UnmarshalMembership(m.Marshal())
-	if err != nil {
+	got := &Membership{}
+	if err := DecodeMembership(m.Marshal(), got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, m) {
@@ -113,8 +115,8 @@ func TestMembershipRoundTrip(t *testing.T) {
 
 func TestMembershipEmpty(t *testing.T) {
 	m := &Membership{PlatoonID: 1, LeaderID: 10}
-	got, err := UnmarshalMembership(m.Marshal())
-	if err != nil {
+	var got Membership
+	if err := DecodeMembership(m.Marshal(), &got); err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Members) != 0 {
@@ -125,15 +127,50 @@ func TestMembershipEmpty(t *testing.T) {
 func TestMembershipTruncatedList(t *testing.T) {
 	m := &Membership{PlatoonID: 1, LeaderID: 10, Members: []uint32{1, 2, 3}}
 	buf := m.Marshal()
-	if _, err := UnmarshalMembership(buf[:len(buf)-4]); !errors.Is(err, ErrShortBuffer) {
+	if err := DecodeMembership(buf[:len(buf)-4], &Membership{}); !errors.Is(err, ErrShortBuffer) {
 		t.Fatalf("truncated list: %v", err)
+	}
+}
+
+// TestMembershipRosterBound: a roster of MaxRosterMembers survives the
+// trip through an envelope; one member more overflows the envelope's
+// payload length and does not.
+func TestMembershipRosterBound(t *testing.T) {
+	for _, n := range []int{MaxRosterMembers, MaxRosterMembers + 1} {
+		m := &Membership{PlatoonID: 1, LeaderID: 1, Seq: 3, TimestampN: 5, Members: make([]uint32, n)}
+		for i := range m.Members {
+			m.Members[i] = uint32(i + 2)
+		}
+		wire := (&Envelope{SenderID: 1, Payload: m.AppendTo(nil)}).AppendTo(nil)
+		var env Envelope
+		var got Membership
+		survived := DecodeEnvelope(wire, &env) == nil && DecodeMembership(env.Payload, &got) == nil &&
+			reflect.DeepEqual(&got, m)
+		if survived != (n <= MaxRosterMembers) {
+			t.Errorf("%d members: survived = %v", n, survived)
+		}
+	}
+}
+
+func TestContextProofRoundTrip(t *testing.T) {
+	c := &ContextProof{VehicleID: 9, PlatoonID: 1, Seq: 4, TimestampN: 77, Samples: make([]ProofSample, MaxProofSamples+5)}
+	for i := range c.Samples {
+		c.Samples[i] = ProofSample{Position: float64(i), Value: -float64(i) / 8}
+	}
+	var got ContextProof
+	if err := DecodeContextProof(c.Marshal(), &got); err != nil {
+		t.Fatal(err)
+	}
+	c.Samples = c.Samples[:MaxProofSamples] // the encoder caps the count
+	if !reflect.DeepEqual(&got, c) {
+		t.Fatalf("round trip: got %+v, want %+v", got, c)
 	}
 }
 
 func TestKeyRequestRoundTrip(t *testing.T) {
 	k := &KeyRequest{VehicleID: 3, PlatoonID: 1, Nonce: 0xDEADBEEF, TimestampN: 7}
-	got, err := UnmarshalKeyRequest(k.Marshal())
-	if err != nil {
+	got := &KeyRequest{}
+	if err := DecodeKeyRequest(k.Marshal(), got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, k) {
@@ -146,8 +183,8 @@ func TestKeyResponseRoundTrip(t *testing.T) {
 		VehicleID: 3, PlatoonID: 1, Nonce: 42, TimestampN: 7,
 		KeyEpoch: 2, SealedKey: []byte{1, 2, 3, 4, 5},
 	}
-	got, err := UnmarshalKeyResponse(k.Marshal())
-	if err != nil {
+	got := &KeyResponse{}
+	if err := DecodeKeyResponse(k.Marshal(), got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, k) {
@@ -158,7 +195,7 @@ func TestKeyResponseRoundTrip(t *testing.T) {
 func TestKeyResponseTruncatedKey(t *testing.T) {
 	k := &KeyResponse{SealedKey: []byte{1, 2, 3, 4}}
 	buf := k.Marshal()
-	if _, err := UnmarshalKeyResponse(buf[:len(buf)-2]); !errors.Is(err, ErrShortBuffer) {
+	if err := DecodeKeyResponse(buf[:len(buf)-2], &KeyResponse{}); !errors.Is(err, ErrShortBuffer) {
 		t.Fatalf("truncated key: %v", err)
 	}
 }

@@ -411,7 +411,7 @@ func TestEncryptedPlatoonOpaqueToOutsider(t *testing.T) {
 	frames := 0
 	if err := w.bus.Attach(66, func() float64 { return 1990 }, 20, func(rx mac.Rx) {
 		frames++
-		if _, err := message.UnmarshalEnvelope(rx.Payload); err == nil {
+		if err := message.DecodeEnvelope(rx.Payload, &message.Envelope{}); err == nil {
 			decodable++
 		}
 	}); err != nil {

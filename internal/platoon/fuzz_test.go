@@ -77,12 +77,13 @@ func TestAgentSurvivesSemiValidEnvelopes(t *testing.T) {
 // arbitrary bytes.
 func TestQuickEnvelopeDecodersNeverPanic(t *testing.T) {
 	f := func(buf []byte) bool {
-		_, _ = message.UnmarshalEnvelope(buf)
-		_, _ = message.UnmarshalBeacon(buf)
-		_, _ = message.UnmarshalManeuver(buf)
-		_, _ = message.UnmarshalMembership(buf)
-		_, _ = message.UnmarshalKeyRequest(buf)
-		_, _ = message.UnmarshalKeyResponse(buf)
+		_ = message.DecodeEnvelope(buf, &message.Envelope{})
+		_ = message.DecodeBeacon(buf, &message.Beacon{})
+		_ = message.DecodeManeuver(buf, &message.Maneuver{})
+		_ = message.DecodeMembership(buf, &message.Membership{})
+		_ = message.DecodeKeyRequest(buf, &message.KeyRequest{})
+		_ = message.DecodeKeyResponse(buf, &message.KeyResponse{})
+		_ = message.DecodeContextProof(buf, &message.ContextProof{})
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {

@@ -67,8 +67,8 @@ func (c *Client) Handle(kind message.Kind, env *message.Envelope, _ mac.Rx, _ si
 	if kind != message.KindKeyResponse {
 		return
 	}
-	resp, err := message.UnmarshalKeyResponse(env.Payload)
-	if err != nil || resp.VehicleID != c.vehicleID {
+	var resp message.KeyResponse
+	if err := message.DecodeKeyResponse(env.Payload, &resp); err != nil || resp.VehicleID != c.vehicleID {
 		return
 	}
 	// Solicited responses must echo our latest nonce; nonce 0 marks an

@@ -188,8 +188,8 @@ func (r *RSU) onRx(rx mac.Rx) {
 		r.refused++
 		return
 	}
-	req, err := message.UnmarshalKeyRequest(env.Payload)
-	if err != nil {
+	var req message.KeyRequest
+	if err := message.DecodeKeyRequest(env.Payload, &req); err != nil {
 		r.refused++
 		return
 	}

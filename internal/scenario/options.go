@@ -70,7 +70,8 @@ type Options struct {
 	Seed int64
 	// Duration is the simulated time span.
 	Duration sim.Time
-	// Vehicles is the platoon size (leader + members). Minimum 2.
+	// Vehicles is the platoon size (leader + members): at least 2, at
+	// most message.MaxRosterMembers.
 	Vehicles int
 	// Cfg is the platoon protocol configuration.
 	Cfg platoon.Config

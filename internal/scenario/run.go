@@ -189,6 +189,9 @@ func Run(opts Options) (*Result, error) {
 	if opts.Vehicles < 2 {
 		return nil, errors.New("scenario: need at least 2 vehicles")
 	}
+	if opts.Vehicles > message.MaxRosterMembers {
+		return nil, fmt.Errorf("scenario: %d vehicles exceed the roster frame's %d", opts.Vehicles, message.MaxRosterMembers)
+	}
 	if opts.Duration <= 0 {
 		return nil, errors.New("scenario: non-positive duration")
 	}

@@ -2,8 +2,10 @@ package scenario
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
+	"platoonsec/internal/message"
 	"platoonsec/internal/sim"
 )
 
@@ -80,6 +82,17 @@ func TestOptionValidation(t *testing.T) {
 	o.Duration = 0
 	if _, err := Run(o); err == nil {
 		t.Fatal("zero duration accepted")
+	}
+	// A platoon whose leader's roster frame would overflow the envelope
+	// is refused. At the bound the roster check passes, and the zero
+	// duration stops the run before it builds thousands of vehicles.
+	o.Vehicles = message.MaxRosterMembers + 1
+	if _, err := Run(o); err == nil || !strings.Contains(err.Error(), "roster") {
+		t.Fatalf("%d vehicles: %v, want the roster bound", o.Vehicles, err)
+	}
+	o.Vehicles = message.MaxRosterMembers
+	if _, err := Run(o); err == nil || strings.Contains(err.Error(), "roster") {
+		t.Fatalf("%d vehicles: %v, want only the duration error", o.Vehicles, err)
 	}
 }
 

@@ -238,8 +238,8 @@ func TestVerifyFlipAnyEnvelopeByteRejected(t *testing.T) {
 		if i >= 9 && i < 11 || i >= 11+len(env.Payload) && i < 13+len(env.Payload) {
 			continue // length prefixes: covered by decoder tests, not the signature
 		}
-		mut, err := message.UnmarshalEnvelope(flipped(image, i))
-		if err != nil {
+		mut := &message.Envelope{}
+		if err := message.DecodeEnvelope(flipped(image, i), mut); err != nil {
 			continue // the version byte: never reaches Verify
 		}
 		if _, err := NewVerifier(ca, nil).Verify(mut, sim.Millisecond); err == nil {
@@ -319,6 +319,26 @@ func TestVerifyCounters(t *testing.T) {
 	}
 }
 
+// TestVerifyRejectsMalformedPayload: a correctly signed frame whose
+// payload is a truncated beacon passes the signature check, then fails
+// the replay guard's freshness read, and is counted once as malformed.
+func TestVerifyRejectsMalformedPayload(t *testing.T) {
+	ca, rng := newTestCA(t)
+	rec := obs.NewFlightRecorder(obs.Config{})
+	ca.SetRecorder(rec)
+	id, _ := ca.Issue(7, 0, 100*sim.Second, rng)
+	payload := beaconPayload(7, 1, sim.Second)
+	env := NewSigner(id).Seal(payload[:len(payload)-1])
+	if _, err := NewVerifier(ca, NewReplayGuard(sim.Second)).Verify(env, sim.Second); !errors.Is(err, message.ErrShortBuffer) {
+		t.Fatalf("truncated beacon: %v, want ErrShortBuffer", err)
+	}
+	got := rec.Metrics().Snapshot().Counters
+	if got["security.reject.malformed"] != 1 || got["security.reject.bad_signature"] != 0 {
+		t.Fatalf("reject.malformed = %d, reject.bad_signature = %d, want 1 and 0",
+			got["security.reject.malformed"], got["security.reject.bad_signature"])
+	}
+}
+
 // TestVerifySteadyStateAllocs pins the steady-state Verify path at zero
 // allocations, with observability off and on: a fan-out of receivers
 // verifying a stream of fresh frames.
@@ -358,9 +378,9 @@ func TestVerifySteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestVerifyRejectsNilAndEmptySig: the two unsigned forms the envelope
-// decoders produce (nil from UnmarshalEnvelope, empty from a reused
-// DecodeEnvelope scratch) are both rejected as unsigned.
+// TestVerifyRejectsNilAndEmptySig: the two unsigned forms DecodeEnvelope
+// produces (nil into a fresh envelope, empty into reused scratch) are
+// both rejected as unsigned.
 func TestVerifyRejectsNilAndEmptySig(t *testing.T) {
 	ca, _ := newTestCA(t)
 	v := NewVerifier(ca, nil)

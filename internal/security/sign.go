@@ -112,11 +112,11 @@ func (v *Verifier) Verify(e *message.Envelope, now sim.Time) (*Certificate, erro
 		return nil, ctr.rejected(rejectBadSignature, ErrBadSignature)
 	}
 	if v.replay != nil {
-		ts, seq, err := extractFreshness(e.Payload)
+		ts, seq, err := message.PeekFreshness(e.Payload)
 		if err != nil {
 			return nil, ctr.rejected(rejectMalformed, err)
 		}
-		if err := v.replay.Check(e.SenderID, seq, ts, now); err != nil {
+		if err := v.replay.Check(e.SenderID, seq, sim.Time(ts), now); err != nil {
 			return nil, ctr.rejected(rejectReplay, err)
 		}
 	}
@@ -133,67 +133,5 @@ func certRejectReason(err error) rejectReason {
 		return rejectCertRevoked
 	default:
 		return rejectBadCertSig
-	}
-}
-
-// extractFreshness pulls (timestamp, seq) out of any known payload
-// kind. The wire-peeking fast path avoids the per-frame unmarshal
-// allocations the full decoders would make.
-func extractFreshness(payload []byte) (sim.Time, uint32, error) {
-	ts, seq, err := message.PeekFreshness(payload)
-	if err == nil {
-		return sim.Time(ts), seq, nil
-	}
-	return extractFreshnessSlow(payload)
-}
-
-// extractFreshnessSlow is the original decoder-backed extraction; it
-// now runs only on malformed payloads, where its wrapped errors carry
-// the diagnostic detail.
-func extractFreshnessSlow(payload []byte) (sim.Time, uint32, error) {
-	kind, err := message.PeekKind(payload)
-	if err != nil {
-		return 0, 0, err
-	}
-	switch kind {
-	case message.KindBeacon:
-		b, err := message.UnmarshalBeacon(payload)
-		if err != nil {
-			return 0, 0, err
-		}
-		return sim.Time(b.TimestampN), b.Seq, nil
-	case message.KindManeuver:
-		m, err := message.UnmarshalManeuver(payload)
-		if err != nil {
-			return 0, 0, err
-		}
-		return sim.Time(m.TimestampN), m.Seq, nil
-	case message.KindMembership:
-		m, err := message.UnmarshalMembership(payload)
-		if err != nil {
-			return 0, 0, err
-		}
-		return sim.Time(m.TimestampN), m.Seq, nil
-	case message.KindKeyRequest:
-		k, err := message.UnmarshalKeyRequest(payload)
-		if err != nil {
-			return 0, 0, err
-		}
-		return sim.Time(k.TimestampN), uint32(k.Nonce), nil
-	case message.KindKeyResponse:
-		k, err := message.UnmarshalKeyResponse(payload)
-		if err != nil {
-			return 0, 0, err
-		}
-		return sim.Time(k.TimestampN), uint32(k.Nonce), nil
-	case message.KindContextProof:
-		c, err := message.UnmarshalContextProof(payload)
-		if err != nil {
-			return 0, 0, err
-		}
-		return sim.Time(c.TimestampN), c.Seq, nil
-	default:
-		//platoonvet:alloc-ok error path: unknown kinds never occur on conforming traffic
-		return 0, 0, fmt.Errorf("security: cannot extract freshness from %v", kind)
 	}
 }

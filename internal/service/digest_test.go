@@ -3,6 +3,8 @@ package service
 import (
 	"encoding/json"
 	"testing"
+
+	"platoonsec/internal/message"
 )
 
 // digestOf normalizes and digests, failing the test on error.
@@ -107,6 +109,7 @@ func TestDigestDistinguishesExperiments(t *testing.T) {
 		"seed":     {Attack: "jamming", Seed: 2},
 		"duration": {Attack: "jamming", DurationSec: 30},
 		"vehicles": {Attack: "jamming", Vehicles: 12},
+		"roster":   {Attack: "jamming", Vehicles: message.MaxRosterMembers},
 		"attack":   {Attack: "dos"},
 		"start":    {Attack: "jamming", AttackStartSec: 20},
 		"power":    {Attack: "jamming", JammerPowerDBm: 20},
@@ -156,6 +159,7 @@ func TestNormalizeRejections(t *testing.T) {
 		"joiner past the clock":   {WithJoiner: true, JoinerAtSec: 1e10},
 		"world epoch under 1 ns":  {World: &WorldRequest{EpochMS: 1e-9}},
 		"one vehicle":             {Vehicles: 1},
+		"roster over the wire":    {Vehicles: message.MaxRosterMembers + 1},
 		"joiner time sans joiner": {JoinerAtSec: 5},
 		"power sans jamming":      {Attack: "dos", JammerPowerDBm: 30},
 		"ghosts sans sybil":       {Attack: "jamming", SybilGhosts: 3},

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"platoonsec/internal/message"
 	"platoonsec/internal/scenario"
 	"platoonsec/internal/sim"
 	"platoonsec/internal/taxonomy"
@@ -27,7 +28,8 @@ type RunRequest struct {
 	Seed int64 `json:"seed,omitempty"`
 	// DurationSec is the simulated span in seconds (0 = 60).
 	DurationSec float64 `json:"duration_sec,omitempty"`
-	// Vehicles is the platoon size, leader included (0 = 8; min 2).
+	// Vehicles is the platoon size, leader included (0 = 8; min 2;
+	// max message.MaxRosterMembers).
 	Vehicles int `json:"vehicles,omitempty"`
 	// Attack is the taxonomy key ("" = baseline run).
 	Attack string `json:"attack,omitempty"`
@@ -159,6 +161,9 @@ func (r *RunRequest) Normalize() error {
 	}
 	if r.Vehicles < 2 {
 		return fmt.Errorf("vehicles must be at least 2, got %d", r.Vehicles)
+	}
+	if r.Vehicles > message.MaxRosterMembers {
+		return fmt.Errorf("vehicles must be at most %d (the leader's roster frame), got %d", message.MaxRosterMembers, r.Vehicles)
 	}
 	if r.Attack != "" {
 		if _, ok := taxonomy.AttackByKey(r.Attack); !ok {
