@@ -71,7 +71,7 @@ type Options struct {
 	// Duration is the simulated time span.
 	Duration sim.Time
 	// Vehicles is the platoon size (leader + members): at least 2, at
-	// most message.MaxRosterMembers.
+	// most 900, less with a joiner or an attack that claims IDs (Validate).
 	Vehicles int
 	// Cfg is the platoon protocol configuration.
 	Cfg platoon.Config

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"platoonsec/internal/message"
 	"platoonsec/internal/sim"
 )
 
@@ -83,15 +82,15 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := Run(o); err == nil {
 		t.Fatal("zero duration accepted")
 	}
-	// A platoon whose leader's roster frame would overflow the envelope
-	// is refused. At the bound the roster check passes, and the zero
-	// duration stops the run before it builds thousands of vehicles.
-	o.Vehicles = message.MaxRosterMembers + 1
-	if _, err := Run(o); err == nil || !strings.Contains(err.Error(), "roster") {
-		t.Fatalf("%d vehicles: %v, want the roster bound", o.Vehicles, err)
+	// A platoon whose vehicle IDs would reach the observer's node ID is
+	// refused by the ID plan. At the bound the plan passes, and the
+	// zero duration stops the run before it builds 900 vehicles.
+	o.Vehicles = observerNodeID
+	if _, err := Run(o); err == nil || !strings.Contains(err.Error(), "at most 900 vehicles") {
+		t.Fatalf("%d vehicles: %v, want the ID-plan bound", o.Vehicles, err)
 	}
-	o.Vehicles = message.MaxRosterMembers
-	if _, err := Run(o); err == nil || strings.Contains(err.Error(), "roster") {
+	o.Vehicles = observerNodeID - 1
+	if _, err := Run(o); err == nil || strings.Contains(err.Error(), "vehicle IDs") {
 		t.Fatalf("%d vehicles: %v, want only the duration error", o.Vehicles, err)
 	}
 }

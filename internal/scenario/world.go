@@ -1,49 +1,38 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 
 	worldpkg "platoonsec/internal/world"
 )
 
-// RunWorld executes the sharded multi-platoon highway world described
-// by opts.World, inheriting the shared experiment knobs (Seed,
-// Duration, AttackKey, AttackStart, Spans, SpanCapacity, EventsJSONL,
-// Timeline, TimelineCapacity)
-// from the scenario Options wherever the world options leave them
-// zero. Like Run, the result is deterministic in the options alone —
-// and additionally invariant in the world's Shards and Workers.
+// RunWorld executes the sharded multi-platoon highway world of
+// worldOptions. Like Run, the result is deterministic in the options
+// alone — and additionally invariant in the world's Shards and Workers.
 func RunWorld(opts Options) (*worldpkg.Result, error) {
 	if opts.World == nil {
 		return nil, fmt.Errorf("scenario: RunWorld needs Options.World")
 	}
-	w := *opts.World
-	if w.Seed == 0 {
-		w.Seed = opts.Seed
-	}
-	if w.Duration == 0 {
-		w.Duration = opts.Duration
-	}
-	if w.AttackKey == "" {
-		w.AttackKey = opts.AttackKey
-	}
-	if w.AttackStart == 0 {
-		w.AttackStart = opts.AttackStart
-	}
-	if !w.Spans {
-		w.Spans = opts.Spans
-	}
-	if w.SpanCapacity == 0 {
-		w.SpanCapacity = opts.SpanCapacity
-	}
+	return worldpkg.Run(opts.worldOptions())
+}
+
+// worldOptions returns o.World with the shared experiment knobs
+// (Seed, Duration, AttackKey, AttackStart, Spans, SpanCapacity,
+// EventsJSONL, Timeline, TimelineCapacity) inherited from o wherever
+// the world options leave them zero.
+func (o *Options) worldOptions() worldpkg.Options {
+	w := *o.World
+	w.Seed = cmp.Or(w.Seed, o.Seed)
+	w.Duration = cmp.Or(w.Duration, o.Duration)
+	w.AttackKey = cmp.Or(w.AttackKey, o.AttackKey)
+	w.AttackStart = cmp.Or(w.AttackStart, o.AttackStart)
+	w.Spans = w.Spans || o.Spans
+	w.SpanCapacity = cmp.Or(w.SpanCapacity, o.SpanCapacity)
 	if w.EventsJSONL == nil {
-		w.EventsJSONL = opts.EventsJSONL
+		w.EventsJSONL = o.EventsJSONL
 	}
-	if !w.Timeline {
-		w.Timeline = opts.Timeline
-	}
-	if w.TimelineCapacity == 0 {
-		w.TimelineCapacity = opts.TimelineCapacity
-	}
-	return worldpkg.Run(w)
+	w.Timeline = w.Timeline || o.Timeline
+	w.TimelineCapacity = cmp.Or(w.TimelineCapacity, o.TimelineCapacity)
+	return w
 }

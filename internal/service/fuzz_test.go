@@ -13,6 +13,9 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"platoonsec/internal/scenario"
+	"platoonsec/internal/sim"
 )
 
 // fuzzSpillEntry is the artifact FuzzReadSpill spills; its seed corpus
@@ -168,6 +171,18 @@ func FuzzNormalizeRequest(f *testing.F) {
 			o.World != nil && (o.World.Epoch <= 0 || o.World.Epoch > o.Duration) {
 			t.Fatalf("accepted request %s has clock values the simulator rejects: duration %d, attack start %d, joiner %d",
 				canon, o.Duration, o.AttackStart, o.JoinerAt)
+		}
+		// Accepted also implies buildable: clamped to 1 ms (one epoch
+		// for a world), the run completes without error.
+		if o.World != nil {
+			o.World.Duration = o.World.Epoch
+			_, err = scenario.RunWorld(o)
+		} else {
+			o.Duration = sim.Millisecond
+			_, err = scenario.Run(o)
+		}
+		if err != nil {
+			t.Fatalf("accepted request %s does not run: %v", canon, err)
 		}
 	})
 }

@@ -445,6 +445,38 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestUnbuildableRunsRejected: requests whose run cannot be built,
+// measures colliding identities or exceeds the work budget get a 400
+// from both POST /v1/runs and POST /v1/digest, before anything runs.
+func TestUnbuildableRunsRejected(t *testing.T) {
+	srv, ts, _ := newTestServer(t, nil)
+	for _, body := range []string{
+		`{"vehicles":16378,"duration_sec":0.001}`,
+		`{"vehicles":40,"with_joiner":true,"duration_sec":10}`,
+		`{"vehicles":600,"attack":"sybil","duration_sec":0.1}`,
+		`{"attack":"sybil","sybil_ghosts":600}`,
+		`{"duration_sec":9e9}`,
+		`{"world":{"junctions":1000000}}`,
+		`{"vehicles":128,"duration_sec":10}`,
+		`{"world":{"platoons":4000}}`,
+	} {
+		for _, path := range []string{"/v1/runs", "/v1/digest"} {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != 400 {
+				t.Errorf("%s %s: status %d (%s), want 400", path, body, resp.StatusCode, b)
+			}
+		}
+	}
+	if got := srv.Snapshot().Counters["service.runs_executed"]; got != 0 {
+		t.Errorf("rejected requests executed %d runs", got)
+	}
+}
+
 // TestWorldRunOverHTTP: a world request runs and serves world-result
 // JSON.
 func TestWorldRunOverHTTP(t *testing.T) {

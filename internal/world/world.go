@@ -166,16 +166,23 @@ func (o *Options) normalize() {
 	}
 }
 
-// validate rejects configurations the world cannot run.
-func (o *Options) validate() error {
+// maxSpeedFactor bounds every unit's speed as a multiple of CruiseMS:
+// cruiseFor spreads cruise speeds over ±8% and every other target is
+// at most one of those; the margin keeps the bound clear of rounding.
+const maxSpeedFactor = 1.1
+
+// Validate rejects configurations the world cannot run. It checks a
+// normalized copy, so callers need not normalize first.
+func (o Options) Validate() error {
+	o.normalize()
 	if o.Platoons < 1 {
 		return fmt.Errorf("world: need at least 1 platoon, got %d", o.Platoons)
 	}
 	if o.VehiclesPerPlatoon < 1 {
 		return fmt.Errorf("world: need at least 1 vehicle per platoon, got %d", o.VehiclesPerPlatoon)
 	}
-	if o.FreeAgents < 0 {
-		return fmt.Errorf("world: negative free agents %d", o.FreeAgents)
+	if o.FreeAgents < 0 || o.SybilGhosts < 0 || o.Junctions < 0 {
+		return fmt.Errorf("world: negative count: %d free agents, %d sybil ghosts, %d junctions", o.FreeAgents, o.SybilGhosts, o.Junctions)
 	}
 	if o.Shards < 1 {
 		return fmt.Errorf("world: need at least 1 shard, got %d", o.Shards)
@@ -185,6 +192,14 @@ func (o *Options) validate() error {
 	}
 	if o.VehiclesPerPlatoon > MaxWireMembers {
 		return fmt.Errorf("world: %d vehicles per platoon exceeds codec bound %d", o.VehiclesPerPlatoon, MaxWireMembers)
+	}
+	// A unit's step in one epoch must not span a junction spacing:
+	// crossedJunction reports one junction per step, and a longer step
+	// would both skip junction events and fall back to a scan over
+	// every junction for every unit.
+	if step := maxSpeedFactor * o.CruiseMS * o.Epoch.Seconds(); float64(o.Junctions)*step > o.RingLengthM {
+		return fmt.Errorf("world: %d junctions on a %.0f m ring are closer than one epoch's %.1f m step (at most %d)",
+			o.Junctions, o.RingLengthM, step, int(o.RingLengthM/step))
 	}
 	return validAttackKey(o.AttackKey)
 }
@@ -253,10 +268,10 @@ type World struct {
 // Run executes one world experiment, deterministic in Options alone
 // (Shards and Workers excluded by construction).
 func Run(o Options) (*Result, error) {
-	o.normalize()
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
+	o.normalize()
 	w := build(o)
 	if err := w.run(nil); err != nil {
 		return nil, err

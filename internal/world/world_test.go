@@ -26,7 +26,7 @@ func small() Options {
 func TestRunBaseline(t *testing.T) {
 	o := small()
 	o.normalize()
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	w := build(o)
@@ -190,6 +190,9 @@ func TestOptionsValidate(t *testing.T) {
 		{"short duration", func(o *Options) { o.Duration = sim.Millisecond }},
 		{"unknown attack", func(o *Options) { o.AttackKey = "nope" }},
 		{"unmodelled attack", func(o *Options) { o.AttackKey = "replay" }},
+		{"negative junctions", func(o *Options) { o.Junctions = -1 }},
+		{"junctions closer than a step", func(o *Options) { o.Junctions = 5000 }},
+		{"auto junctions closer than a step", func(o *Options) { o.Epoch, o.Duration = 200*sim.Second, 200*sim.Second }},
 	}
 	for _, tc := range cases {
 		o := DefaultOptions()
